@@ -100,10 +100,6 @@ class SyntheticFrameSource:
         return data
 
 
-def synthetic_frames(seed: int, rate_bytes_per_s: int, duration_s: float | None = None) -> SyntheticFrameSource:
-    return SyntheticFrameSource(seed, rate_bytes_per_s, duration_s)
-
-
 class FileFrameSource:
     """Replays a file's bytes at a constant rate, then exhausts."""
 
@@ -701,10 +697,3 @@ def rotate_segment(runtime: CameraRuntime) -> tuple[SegmentRecord, KeyPacket]:
         runtime._dispatch_record(record, t)
     runtime._start_segment(t)
     return snapshot, runtime._segment.packet
-
-
-def run_camera(config: CameraConfig, clock, frame_source, transport, store, **hooks) -> CameraRuntime:
-    """Run the recording loop to completion; returns the runtime for inspection."""
-    runtime = CameraRuntime(config, clock, frame_source, transport, store, **hooks)
-    runtime.run()
-    return runtime

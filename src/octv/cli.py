@@ -16,11 +16,11 @@ from . import client as client_mod
 from . import sim as sim_mod
 from .camera import CameraRuntime, build_frame_source, parse_camera_config
 from .clocks import RealClock
-from .crypto import verify_chain
+from .crypto import ZERO_HASH_PREFIX, verify_chain
 from .errors import ConfigError, NotFoundError, OctvError, ProtocolError
 from .protocol import decode_key_packet
 from .store import FsObjectStore, ObjectKey, StoreServer, fetch_url, open_store
-from .transport import join_bus, loopback_transport
+from .transport import UdpBusPeer, loopback_transport
 
 
 def _install_stop(callback) -> None:
@@ -42,7 +42,7 @@ def cmd_camera_run(args) -> int:
         config.source_duration_s = args.duration
     store = open_store(config.store_target)
     if config.bus_dir:
-        transport = join_bus(config.bus_dir, "camera")
+        transport = UdpBusPeer(config.bus_dir, "camera")
     else:
         transport = loopback_transport()
     runtime = CameraRuntime(
@@ -119,7 +119,7 @@ def cmd_store_serve(args) -> int:
 def cmd_client_listen(args) -> int:
     clock = RealClock()
     wallet = client_mod.Wallet(args.wallet)
-    peer = join_bus(args.bus, "listener")
+    peer = UdpBusPeer(args.bus, "listener")
     client_mod.Listener(wallet, peer, clock)
     stop = threading.Event()
     _install_stop(stop.set)
@@ -215,14 +215,12 @@ def cmd_verify_chain(args) -> int:
             if data is None:
                 continue  # withheld or not fetched
             successor = wallet.successor_of(record)
-            if successor is not None:
-                items.append((data, successor.packet))
-                labels.append(record.packet.video_id)
-            elif record.packet.prev_hash_prefix == bytes(21):
-                items.append((data, record.packet))
-                labels.append(record.packet.video_id)
-            else:
+            if successor is None and record.packet.prev_hash_prefix != ZERO_HASH_PREFIX:
                 unverified.append(record.packet.video_id)
+                continue
+            # a chain start held alone is judged by its own zero sentinel
+            items.append((data, (successor or record).packet))
+            labels.append(record.packet.video_id)
 
     report = verify_chain(items)
     for video_id, status in zip(labels, report.statuses):

@@ -180,8 +180,6 @@ class Wallet:
         return True
 
     def _append_line(self, line: str) -> None:
-        if self._fh is None:
-            return
         try:
             self._fh.write(line + "\n")
             self._fh.flush()
@@ -193,14 +191,20 @@ class Wallet:
         """Add a record; persisted before acknowledgment. False on duplicate."""
         if record.dedup_key() in self._index:
             return False
-        self._append_line(_record_line(record))
+        if self._fh is not None:
+            self._append_line(_record_line(record))
         return self._add_record(record)
 
     def add_token(self, token: ChunkToken, received_at: float) -> bool:
         if token.chunk_index in self._tokens.get(token.video_id, {}):
             return False
-        self._append_line(_token_line(received_at, token))
+        if self._fh is not None:
+            self._append_line(_token_line(received_at, token))
         return self._add_token(token, received_at)
+
+    def token_receipts(self) -> list[tuple[float, ChunkToken]]:
+        """Every held token with its receipt time, in the order received."""
+        return [(t, self._tokens[video_id][index]) for (video_id, index), t in self._token_times.items()]
 
     def tokens_for(self, video_id: bytes) -> list[ChunkToken]:
         per_video = self._tokens.get(video_id, {})
@@ -213,14 +217,20 @@ class Wallet:
         return None
 
     def successor_of(self, record: WalletRecord) -> WalletRecord | None:
-        """The record whose packet vouches for ``record``'s stored file."""
+        """The record whose packet vouches for ``record``'s stored file.
+
+        The next segment's packet is on the air within two reconnect
+        intervals of this one's receipt; a later packet with the next
+        ``seq`` belongs to another lap of the 256-value counter.
+        """
         want_seq = (record.packet.seq + 1) % 256
+        latest = record.received_at + 2 * record.packet.reconnect_interval_s
         candidates = [
             r
             for r in self.records
             if r.camera_address == record.camera_address
             and r.packet.seq == want_seq
-            and r.received_at >= record.received_at
+            and record.received_at <= r.received_at <= latest
         ]
         return min(candidates, key=lambda r: r.received_at) if candidates else None
 
@@ -246,9 +256,9 @@ def export_wallet(wallet: Wallet, time_range: tuple[float, float] | None, path) 
             if in_range(record.received_at):
                 fh.write(_record_line(record) + "\n")
                 count += 1
-        for (video_id, index), t in wallet._token_times.items():
+        for t, token in wallet.token_receipts():
             if in_range(t):
-                fh.write(_token_line(t, wallet._tokens[video_id][index]) + "\n")
+                fh.write(_token_line(t, token) + "\n")
                 count += 1
     return count
 
@@ -401,13 +411,8 @@ def fetch_and_decrypt(wallet: Wallet, record: WalletRecord, fetcher) -> FetchRes
             f"footage {packet.video_id.hex()} withheld or unavailable"
         ) from None
 
-    chain_status = None
     successor = wallet.successor_of(record)
-    if successor is not None and successor.packet.prev_hash_prefix != crypto.ZERO_HASH_PREFIX:
-        if successor.packet.prev_hash_prefix == crypto.hash_prefix(data):
-            chain_status = ChainStatus.OK
-        else:
-            chain_status = ChainStatus.MISMATCH
+    chain_status = None if successor is None else crypto.chain_verdict(data, successor.packet)
 
     scheme = crypto.container_scheme(data)
     try:

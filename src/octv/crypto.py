@@ -30,21 +30,17 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import ConfigError, FormatError, IntegrityError
-from .protocol import KeyPacket
+from .protocol import HASH_PREFIX_LEN, KEY_LEN, TOKEN_LEN, VIDEO_ID_LEN, KeyPacket
 
 MAGIC = b"OCTV"
 VERSION = 0x01
 SCHEME_SINGLE = 0x01
 SCHEME_CHUNKED = 0x02
 
-KEY_LEN = 32
-VIDEO_ID_LEN = 8
-TOKEN_LEN = 16
 NONCE_LEN = 12
 TAG_LEN = 16
 HEADER_LEN = 6
 SINGLE_OVERHEAD = HEADER_LEN + NONCE_LEN + TAG_LEN  # 34 bytes
-HASH_PREFIX_LEN = 21
 ZERO_HASH_PREFIX = bytes(HASH_PREFIX_LEN)  # first packet's sentinel
 
 
@@ -86,16 +82,12 @@ def encrypt_segment(plaintext: bytes, key: bytes) -> bytes:
 
 def _open_container(container: bytes, expected_scheme: int) -> tuple[bytes, bytes, bytes]:
     """Validate the header; return (header, nonce, body). Raises FormatError."""
+    scheme = container_scheme(container)
+    if scheme != expected_scheme:
+        raise FormatError(f"unexpected scheme {scheme:#04x}")
     if len(container) < SINGLE_OVERHEAD:
         raise FormatError(f"container too short: {len(container)} bytes")
-    header = container[:HEADER_LEN]
-    if header[:4] != MAGIC:
-        raise FormatError(f"bad magic {header[:4]!r}")
-    if header[4] != VERSION:
-        raise FormatError(f"unsupported version {header[4]:#04x}")
-    if header[5] != expected_scheme:
-        raise FormatError(f"unexpected scheme {header[5]:#04x}")
-    return header, container[HEADER_LEN : HEADER_LEN + NONCE_LEN], container[HEADER_LEN + NONCE_LEN :]
+    return container[:HEADER_LEN], container[HEADER_LEN : HEADER_LEN + NONCE_LEN], container[HEADER_LEN + NONCE_LEN :]
 
 
 def container_scheme(container: bytes) -> int:
@@ -246,6 +238,20 @@ class ChainStatus(Enum):
     NO_PREDECESSOR = "no-predecessor"
 
 
+def chain_verdict(stored_file: bytes, packet: KeyPacket) -> ChainStatus:
+    """Verdict on a stored file from the packet that vouches for it.
+
+    That packet is the following segment's; its ``prev_hash_prefix``
+    covers the file. The all-zero sentinel starts a chain and vouches
+    for nothing.
+    """
+    if packet.prev_hash_prefix == ZERO_HASH_PREFIX:
+        return ChainStatus.NO_PREDECESSOR
+    if packet.prev_hash_prefix == hash_prefix(stored_file):
+        return ChainStatus.OK
+    return ChainStatus.MISMATCH
+
+
 @dataclass(frozen=True)
 class HashChainReport:
     """Per-segment verdicts from a chain walk."""
@@ -262,19 +268,9 @@ def verify_chain(items: list[tuple[bytes, KeyPacket]]) -> HashChainReport:
     """Check stored files against the packets that vouch for them.
 
     Each item pairs a stored container with the key packet of the
-    following segment, whose ``prev_hash_prefix`` covers that file. A
-    packet carrying the all-zero sentinel is the start of a chain and
-    vouches for nothing: the paired file gets ``NO_PREDECESSOR``.
+    following segment; see :func:`chain_verdict`.
     """
-    statuses = []
-    first_mismatch = None
-    for i, (stored_file, packet) in enumerate(items):
-        if packet.prev_hash_prefix == ZERO_HASH_PREFIX:
-            statuses.append(ChainStatus.NO_PREDECESSOR)
-        elif packet.prev_hash_prefix == hash_prefix(stored_file):
-            statuses.append(ChainStatus.OK)
-        else:
-            statuses.append(ChainStatus.MISMATCH)
-            if first_mismatch is None:
-                first_mismatch = i
+    statuses = [chain_verdict(stored_file, packet) for stored_file, packet in items]
+    mismatch = ChainStatus.MISMATCH
+    first_mismatch = statuses.index(mismatch) if mismatch in statuses else None
     return HashChainReport(statuses=statuses, first_mismatch=first_mismatch)

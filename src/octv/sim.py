@@ -22,18 +22,10 @@ import struct
 from dataclasses import dataclass, field
 
 from .camera import CameraConfig, CameraRuntime, ChunkingConfig, SyntheticFrameSource
+from .client import Listener, Wallet
 from .clocks import SimClock
-from .errors import ConfigError, ProtocolError, UnreachableError
-from .protocol import (
-    CHAR_KEY_PACKET,
-    CHAR_TIER_KEY_PACKET,
-    Beacon,
-    CameraDescriptor,
-    Mode,
-    TokenAnnouncement,
-    decode_advertisement,
-    decode_key_packet,
-)
+from .errors import ConfigError
+from .protocol import CHAR_KEY_PACKET, CHAR_TIER_KEY_PACKET, CameraDescriptor, Mode
 from .store import MemoryObjectStore
 from .transport import RangeModel, SimTransport
 
@@ -190,55 +182,21 @@ def load_scenario(path) -> Scenario:
 # -- execution --------------------------------------------------------------
 
 
-@dataclass
-class KeyReceipt:
-    camera_index: int
-    seq: int
-    video_id: bytes
-    t: float
-    stream: str  # main | tier
+class _UntrustedRadio:
+    """An untrusted subject's radio: tiering cameras answer its key
+    reads with the base-tier packet."""
 
+    def __init__(self, peer, tiering: set[bytes]):
+        self._peer = peer
+        self._tiering = tiering
 
-class _SubjectAgent:
-    """Collects keys and tokens delivered over the simulated radio."""
+    def on_advertisement(self, callback) -> None:
+        self._peer.on_advertisement(callback)
 
-    def __init__(self, subject: Subject, handle, camera_by_address: dict, tiering_by_address: dict):
-        self.subject = subject
-        self.handle = handle
-        self._camera_by_address = camera_by_address
-        self._tiering_by_address = tiering_by_address
-        self.receipts: dict[bytes, KeyReceipt] = {}
-        self.token_receipts: dict[tuple[bytes, int], float] = {}
-        self._last_seq: dict[tuple[bytes, int], int] = {}
-        handle.on_advertisement(self._on_advertisement)
-
-    def _on_advertisement(self, sender: bytes, payload: bytes, t: float) -> None:
-        try:
-            advert = decode_advertisement(payload)
-        except ProtocolError:
-            return
-        if isinstance(advert, Beacon):
-            camera_index = self._camera_by_address.get(sender)
-            if camera_index is None:
-                return
-            tiered = self._tiering_by_address[sender] and not self.subject.trusted
-            suffix = CHAR_TIER_KEY_PACKET if tiered else CHAR_KEY_PACKET
-            if self._last_seq.get((sender, suffix)) == advert.seq:
-                return
-            try:
-                packet = decode_key_packet(self.handle.read_characteristic(sender, suffix))
-            except UnreachableError:
-                return
-            self._last_seq[(sender, suffix)] = advert.seq
-            self.receipts[packet.video_id] = KeyReceipt(
-                camera_index=camera_index,
-                seq=packet.seq,
-                video_id=packet.video_id,
-                t=t,
-                stream="tier" if tiered else "main",
-            )
-        elif isinstance(advert, TokenAnnouncement):
-            self.token_receipts.setdefault((advert.video_id, advert.chunk_index), t)
+    def read_characteristic(self, address: bytes, suffix: int) -> bytes:
+        if suffix == CHAR_KEY_PACKET and address in self._tiering:
+            suffix = CHAR_TIER_KEY_PACKET
+        return self._peer.read_characteristic(address, suffix)
 
 
 @dataclass
@@ -317,15 +275,18 @@ def participant_addresses(scenario: Scenario) -> tuple[list[bytes], list[bytes]]
 def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTransport]:
     """Step the deployment through time and measure key bleed.
 
-    Returns the report plus the transport (whose delivery log is the
-    ground truth an independent oracle can recompute the report from).
+    Each subject runs the shipping :class:`~octv.client.Listener` over an
+    in-memory :class:`~octv.client.Wallet`; an untrusted subject reads
+    the base-tier key packet from tiering cameras. Returns the report
+    plus the transport, whose delivery log (adverts, descriptor and key
+    reads) is the ground truth an independent oracle can recompute the
+    report from.
     """
     clock = SimClock(0.0)
     transport = SimTransport(clock=clock, seed=seed)
 
     runtimes: list[CameraRuntime] = []
-    camera_by_address: dict[bytes, int] = {}
-    tiering_by_address: dict[bytes, bool] = {}
+    tiering: set[bytes] = set()
     for i, cam in enumerate(scenario.cameras):
         handle = transport.join("camera", position=cam.position, range_model=cam.radio)
         source = SyntheticFrameSource(seed=seed * 65536 + i, rate_bytes_per_s=64)
@@ -333,27 +294,30 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
             cam.config, clock, source, handle, MemoryObjectStore(), event_sink=lambda rec: None
         )
         runtimes.append(runtime)
-        camera_by_address[handle.address] = i
-        tiering_by_address[handle.address] = cam.config.tiering
+        if cam.config.tiering:
+            tiering.add(handle.address)
 
-    agents: list[_SubjectAgent] = []
+    peers = []
+    wallets: list[Wallet] = []
     for subject in scenario.subjects:
-        handle = transport.join("listener", position=subject.trajectory.position_at(0.0))
-        agents.append(_SubjectAgent(subject, handle, camera_by_address, tiering_by_address))
+        peer = transport.join("listener", position=subject.trajectory.position_at(0.0))
+        radio = peer if subject.trusted else _UntrustedRadio(peer, tiering)
+        wallets.append(Listener(Wallet(), radio, clock).wallet)
+        peers.append(peer)
 
     dt = scenario.timestep_s
     steps = int(round(scenario.duration_s / dt))
     # in-view sample steps per (subject index, camera index)
     view_samples: dict[tuple[int, int], set[int]] = {
-        (si, ci): set() for si in range(len(agents)) for ci in range(len(runtimes))
+        (si, ci): set() for si in range(len(peers)) for ci in range(len(runtimes))
     }
 
     for k in range(steps):
         t = k * dt
         clock.advance_to(t)
-        for si, agent in enumerate(agents):
-            position = agent.subject.trajectory.position_at(t)
-            agent.handle.set_position(position)
+        for si, (subject, peer) in enumerate(zip(scenario.subjects, peers)):
+            position = subject.trajectory.position_at(t)
+            peer.set_position(position)
             for ci, cam in enumerate(scenario.cameras):
                 if in_view(cam, position):
                     view_samples[(si, ci)].add(k)
@@ -362,7 +326,7 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
     clock.advance_to(scenario.duration_s)
 
     windows = _collect_windows(scenario, runtimes)
-    report = _build_report(scenario, agents, windows, view_samples, dt, steps)
+    report = _build_report(scenario, wallets, windows, view_samples, dt, steps)
     return report, transport
 
 
@@ -399,7 +363,7 @@ def _collect_windows(scenario: Scenario, runtimes: list[CameraRuntime]) -> dict[
     return windows
 
 
-def _build_report(scenario, agents, windows, view_samples, dt, steps) -> BleedReport:
+def _build_report(scenario, wallets, windows, view_samples, dt, steps) -> BleedReport:
     subject_metrics = []
     camera_metrics = [
         CameraMetrics(name=cam.config.descriptor.name) for cam in scenario.cameras
@@ -410,12 +374,14 @@ def _build_report(scenario, agents, windows, view_samples, dt, steps) -> BleedRe
         count = sum(1 for k in samples if start <= k * dt < end)
         return count * dt
 
-    for si, agent in enumerate(agents):
-        metrics = SubjectMetrics(name=agent.subject.name)
-        metrics.tokens_received = len(agent.token_receipts)
+    for si, (subject, wallet) in enumerate(zip(scenario.subjects, wallets)):
+        metrics = SubjectMetrics(name=subject.name)
+        tokens = wallet.token_receipts()
+        metrics.tokens_received = len(tokens)
         for ci in range(len(scenario.cameras)):
             metrics.in_view_seconds += len(view_samples[(si, ci)]) * dt
-        for video_id, receipt in agent.receipts.items():
+        for record in wallet.records:
+            video_id = record.packet.video_id
             window = windows.get(video_id)
             if window is None:
                 continue
@@ -430,9 +396,10 @@ def _build_report(scenario, agents, windows, view_samples, dt, steps) -> BleedRe
             else:
                 interval = scenario.cameras[window.camera_index].config.segment_interval_s
                 chunk_duration = interval / window.chunk_count
+                held = {token.chunk_index for token in record.tokens}
                 over = 0.0
                 for j in range(window.chunk_count):
-                    if (video_id, j) not in agent.token_receipts:
+                    if j not in held:
                         continue
                     c_start = window.start_t + j * chunk_duration
                     c_end = min(c_start + chunk_duration, window.end_t)
@@ -443,8 +410,8 @@ def _build_report(scenario, agents, windows, view_samples, dt, steps) -> BleedRe
                     )
             metrics.over_share_seconds += over
             camera_metrics[window.camera_index].over_share_seconds += over
-        for (video_id, _index), _t in agent.token_receipts.items():
-            window = windows.get(video_id)
+        for _t, token in tokens:
+            window = windows.get(token.video_id)
             if window is not None:
                 camera_metrics[window.camera_index].tokens_delivered += 1
         subject_metrics.append(metrics)

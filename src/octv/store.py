@@ -120,12 +120,6 @@ class FsObjectStore:
                 keys.append(ObjectKey.from_path(name))
         return keys
 
-    def delete(self, key: ObjectKey) -> None:
-        try:
-            os.unlink(self._file(key))
-        except FileNotFoundError:
-            raise NotFoundError(f"object {key.path} not found") from None
-
     def sweep(self, max_age_s: float, now: float | None = None) -> int:
         """Delete objects older than ``max_age_s``. Returns count removed."""
         now = time.time() if now is None else now

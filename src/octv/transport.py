@@ -6,7 +6,7 @@ Two backends share one duck-typed peer surface:
   receiver loss draws and a totally ordered delivery log. Loss draws are
   keyed by (seed, sender, receiver, emission index) so enlarging a radius
   never flips a previously delivered advertisement.
-* UDP bus peers (:func:`join_bus`) — local datagram sockets plus a
+* :class:`UdpBusPeer` — local datagram sockets plus a
   registry directory, for multi-process demos. Semantics match the
   in-process loopback mode (infinite radius, zero loss).
 """
@@ -333,7 +333,3 @@ class UdpBusPeer:
         except OSError:
             pass
         self._sock.close()
-
-
-def join_bus(bus_dir, kind: str, address: bytes | None = None, clock=None) -> UdpBusPeer:
-    return UdpBusPeer(bus_dir, kind, address=address, clock=clock)

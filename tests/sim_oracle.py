@@ -66,7 +66,7 @@ def oracle_metrics(scenario, transport):
                 if record.suffix in (0x0011, 0x0012) and len(record.payload) == 64:
                     packet = decode_key_packet(record.payload)
                     ci = camera_index[record.receiver]
-                    key_receipts.setdefault(packet.video_id, (ci, record.t))
+                    key_receipts.setdefault(packet.video_id, (ci, record.t, record.suffix))
             elif (
                 record.kind == "adv"
                 and record.receiver == address
@@ -80,7 +80,7 @@ def oracle_metrics(scenario, transport):
 
         bleed = 0
         over_share = 0.0
-        for video_id, (ci, t_read) in key_receipts.items():
+        for video_id, (ci, t_read, suffix) in key_receipts.items():
             interval = scenario.cameras[ci].config.segment_interval_s
             segment = int(t_read // interval)
             start = segment * interval
@@ -88,7 +88,8 @@ def oracle_metrics(scenario, transport):
             in_window = {t for t in view[(si, ci)] if start <= t < end}
             if not in_window:
                 bleed += 1
-            chunking = scenario.cameras[ci].config.chunking
+            # base-tier keys (0x0012) open single-key containers
+            chunking = scenario.cameras[ci].config.chunking if suffix == 0x0011 else None
             if chunking is None:
                 over_share += (end - start) - len(in_window) * dt
             else:

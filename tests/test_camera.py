@@ -6,7 +6,6 @@ from octv.camera import (
     SyntheticFrameSource,
     parse_camera_config,
     rotate_segment,
-    synthetic_frames,
     synthetic_stream,
 )
 from octv.clocks import SimClock
@@ -32,19 +31,19 @@ class TestSyntheticFrames:
         assert synthetic_stream(1, 0, 4096) != synthetic_stream(2, 0, 4096)
 
     def test_rate_times_duration(self):
-        source = synthetic_frames(seed=3, rate_bytes_per_s=1000)
+        source = SyntheticFrameSource(seed=3, rate_bytes_per_s=1000)
         source.read_until(0.0)  # anchors the epoch
         assert len(source.read_until(2.0)) == 2000
 
     def test_windows_are_contiguous(self):
-        source = synthetic_frames(seed=3, rate_bytes_per_s=500)
+        source = SyntheticFrameSource(seed=3, rate_bytes_per_s=500)
         source.read_until(0.0)
         a = source.read_until(1.0)
         b = source.read_until(3.0)
         assert a + b == synthetic_stream(3, 0, 1500)
 
     def test_bounded_source_exhausts(self):
-        source = synthetic_frames(seed=3, rate_bytes_per_s=100, duration_s=2)
+        source = SyntheticFrameSource(seed=3, rate_bytes_per_s=100, duration_s=2)
         source.read_until(0.0)
         data = source.read_until(5.0)
         assert len(data) == 200
@@ -52,7 +51,7 @@ class TestSyntheticFrames:
 
     def test_rate_must_be_positive(self):
         with pytest.raises(ConfigError):
-            synthetic_frames(seed=0, rate_bytes_per_s=0)
+            SyntheticFrameSource(seed=0, rate_bytes_per_s=0)
 
 
 class TestAutoMode:

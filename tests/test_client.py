@@ -12,7 +12,7 @@ from octv.client import (
     group_sessions,
     import_wallet,
 )
-from octv.crypto import ChainStatus, ChunkToken, generate_key, generate_video_id
+from octv.crypto import ChainStatus, ChunkToken, encrypt_segment, generate_key, generate_video_id
 from octv.errors import IntegrityError, NotFoundError, WalletError
 from octv.protocol import Coordinates, KeyPacket, Mode
 from octv.store import LocalStoreFetcher, MemoryObjectStore, ObjectKey
@@ -242,6 +242,19 @@ class TestSessions:
         assert len(group_sessions(wallet, tight)) == 2
 
 
+class TestSuccessor:
+    def test_packet_one_seq_lap_later_is_not_the_successor(self):
+        wallet = Wallet()
+        record = make_record(received_at=0.0, seq=255, reconnect_interval_s=10)
+        next_lap = make_record(received_at=256 * 10 + 3.0, seq=0, reconnect_interval_s=10)
+        wallet.ingest(record)
+        wallet.ingest(next_lap)
+        assert wallet.successor_of(record) is None
+        successor = make_record(received_at=19.0, seq=0, reconnect_interval_s=10)
+        wallet.ingest(successor)
+        assert wallet.successor_of(record) is successor
+
+
 class TestFetchAndDecrypt:
     def test_end_to_end_byte_identical(self):
         pipeline = run_pipeline(segments=3, segment_interval_s=2, rate=1000)
@@ -265,6 +278,18 @@ class TestFetchAndDecrypt:
         with pytest.raises(IntegrityError) as excinfo:
             fetch_and_decrypt(pipeline.wallet, target, LocalStoreFetcher(store))
         assert excinfo.value.chain_status == ChainStatus.MISMATCH
+
+    def test_successor_with_zero_sentinel_gives_no_predecessor(self):
+        store = MemoryObjectStore()
+        wallet = Wallet()
+        record = make_record(received_at=0.0, seq=0)
+        wallet.ingest(record)
+        wallet.ingest(make_record(received_at=60.0, seq=1))  # a restarted chain
+        container = encrypt_segment(b"footage", record.packet.key)
+        store.put(ObjectKey(record.packet.video_id, "mp4"), container)
+        result = fetch_and_decrypt(wallet, record, LocalStoreFetcher(store))
+        assert result.chain_status == ChainStatus.NO_PREDECESSOR
+        assert result.plaintext == b"footage"
 
     def test_withheld_footage_not_found(self):
         pipeline = run_pipeline(segments=2, mode=Mode.MANUAL)

@@ -250,10 +250,35 @@ class TestTierGating:
         untrusted_reads = {
             r.suffix for r in transport.log if r.kind == "read" and r.sender == subject_addrs[1]
         }
-        assert trusted_reads == {0x0011}
-        assert untrusted_reads == {0x0012}
+        # descriptor reads at first contact, then the key packet
+        assert trusted_reads == {1, 2, 3, 4, 0x0011}
+        assert untrusted_reads == {1, 2, 3, 4, 0x0012}
         trusted, untrusted = report.subjects
         assert trusted.keys_received == untrusted.keys_received == 2
+
+    def test_base_tier_keys_of_chunked_camera_open_whole_segments(self):
+        passer = [[0, 100, 0], [9.999, 100, 0], [10, 5, 0], [19.999, 5, 0], [20, 100, 0]]
+        scenario = scenario_from_dict(
+            {
+                "duration_s": 40,
+                "cameras": [
+                    {
+                        "position": [0, 0], "fov_deg": 90, "view_depth_m": 8,
+                        "radio": {"radius_m": 10}, "segment_interval_s": 40,
+                        "chunk_count": 4, "token_advert_interval_ms": 10000,
+                        "tiering": True,
+                    }
+                ],
+                "subjects": [
+                    {"name": "trusted", "trusted": True, "waypoints": passer},
+                    {"name": "untrusted", "trusted": False, "waypoints": passer},
+                ],
+            }
+        )
+        report = assert_report_matches_oracle(scenario)
+        trusted, untrusted = report.subjects
+        assert trusted.over_share_seconds == 0.0  # holds only the token of its chunk
+        assert untrusted.over_share_seconds == 30.0  # the base tier is one key
 
 
 class TestScenarioFile:

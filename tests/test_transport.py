@@ -2,7 +2,7 @@ import pytest
 
 from octv.clocks import SimClock
 from octv.errors import NoSuchCharacteristicError, ProtocolError, UnreachableError
-from octv.transport import RangeModel, SimTransport, join_bus, loopback_transport
+from octv.transport import RangeModel, SimTransport, UdpBusPeer, loopback_transport
 
 
 def collector():
@@ -184,8 +184,8 @@ class TestLogExport:
 class TestUdpBus:
     def test_advertise_between_processes_worth_of_peers(self, tmp_path):
         bus = tmp_path / "bus"
-        camera = join_bus(bus, "camera")
-        listener = join_bus(bus, "listener")
+        camera = UdpBusPeer(bus, "camera")
+        listener = UdpBusPeer(bus, "listener")
         try:
             received, cb = collector()
             listener.on_advertisement(cb)
@@ -199,8 +199,8 @@ class TestUdpBus:
 
     def test_read_characteristic_roundtrip(self, tmp_path):
         bus = tmp_path / "bus"
-        camera = join_bus(bus, "camera")
-        listener = join_bus(bus, "listener")
+        camera = UdpBusPeer(bus, "camera")
+        listener = UdpBusPeer(bus, "listener")
         try:
             camera.serve_characteristics(lambda suffix: bytes([suffix & 0xFF] * 4))
 
@@ -218,7 +218,7 @@ class TestUdpBus:
             listener.close()
 
     def test_unregistered_peer_unreachable(self, tmp_path):
-        listener = join_bus(tmp_path / "bus", "listener")
+        listener = UdpBusPeer(tmp_path / "bus", "listener")
         try:
             with pytest.raises(UnreachableError):
                 listener.read_characteristic(b"\x00" * 6, 0x0011)
