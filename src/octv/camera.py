@@ -7,7 +7,6 @@ previous segment's hash prefix) goes on the air; at each boundary the
 segment is sealed, hashed and dispatched per the availability mode.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -68,22 +67,25 @@ def synthetic_stream(seed: int, start: int, end: int) -> bytes:
     return blob[offset : offset + (end - start)]
 
 
-class SyntheticFrameSource:
-    """Constant-rate pseudo-random byte stream; same seed, same bytes.
+class _PacedSource:
+    """Releases a byte stream at a constant rate from its first read.
 
-    Lets end-to-end tests assert byte-exact decryption against an
-    independently regenerated copy of the stream.
+    The first ``read_until`` anchors the epoch; each later one returns the
+    bytes due since the previous read, up to ``limit`` (``None``: never
+    exhausts). Subclasses supply the bytes of ``[start, end)``.
     """
 
-    def __init__(self, seed: int, rate_bytes_per_s: int, duration_s: float | None = None):
+    def __init__(self, rate_bytes_per_s: int, limit: int | None):
         if rate_bytes_per_s <= 0:
             raise ConfigError(f"rate must be > 0, got {rate_bytes_per_s}")
-        self.seed = seed
         self.rate = rate_bytes_per_s
-        self.limit = None if duration_s is None else int(rate_bytes_per_s * duration_s)
+        self.limit = limit
         self.exhausted = False
         self._epoch: float | None = None
         self._position = 0
+
+    def _bytes(self, start: int, end: int) -> bytes:
+        raise NotImplementedError
 
     def read_until(self, t: float) -> bytes:
         if self._epoch is None:
@@ -95,34 +97,37 @@ class SyntheticFrameSource:
             self.exhausted = True
         if target <= self._position:
             return b""
-        data = synthetic_stream(self.seed, self._position, target)
+        data = self._bytes(self._position, target)
         self._position = target
         return data
 
 
-class FileFrameSource:
+class SyntheticFrameSource(_PacedSource):
+    """Constant-rate pseudo-random byte stream; same seed, same bytes.
+
+    Lets end-to-end tests assert byte-exact decryption against an
+    independently regenerated copy of the stream.
+    """
+
+    def __init__(self, seed: int, rate_bytes_per_s: int, duration_s: float | None = None):
+        limit = None if duration_s is None else int(rate_bytes_per_s * duration_s)
+        super().__init__(rate_bytes_per_s, limit)
+        self.seed = seed
+
+    def _bytes(self, start: int, end: int) -> bytes:
+        return synthetic_stream(self.seed, start, end)
+
+
+class FileFrameSource(_PacedSource):
     """Replays a file's bytes at a constant rate, then exhausts."""
 
     def __init__(self, path, rate_bytes_per_s: int):
-        if rate_bytes_per_s <= 0:
-            raise ConfigError(f"rate must be > 0, got {rate_bytes_per_s}")
         with open(path, "rb") as fh:
             self._data = fh.read()
-        self.rate = rate_bytes_per_s
-        self.exhausted = False
-        self._epoch: float | None = None
-        self._position = 0
+        super().__init__(rate_bytes_per_s, len(self._data))
 
-    def read_until(self, t: float) -> bytes:
-        if self._epoch is None:
-            self._epoch = t
-            return b""
-        target = min(int(self.rate * (t - self._epoch)), len(self._data))
-        if target >= len(self._data):
-            self.exhausted = True
-        data = self._data[self._position : target]
-        self._position = target
-        return data
+    def _bytes(self, start: int, end: int) -> bytes:
+        return self._data[start:end]
 
 
 @dataclass(frozen=True)
@@ -348,10 +353,6 @@ class CameraRuntime:
     def request_stop(self) -> None:
         self._stopped = True
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def current_segment_info(self) -> dict | None:
         """Identity of the in-progress segment, without key material."""
         if self._segment is None:
@@ -405,9 +406,7 @@ class CameraRuntime:
         if self._segment is not None:
             self._pull_frames(t)
             if self._segment.buffer:
-                for record in self._finalize_segment(t):
-                    self._dispatch_record(record, t)
-                self._start_segment(t)  # emits the packet vouching for the last file
+                self.rotate(t)  # emits the packet vouching for the last file
         self._segment = None
         for due, record, attempt in list(self._pending):
             self._try_upload(record, t, attempt)
@@ -447,14 +446,24 @@ class CameraRuntime:
             self._emit_token(when)
 
     def _on_boundary(self, t: float) -> None:
-        self._pull_frames(t)
-        for record in self._finalize_segment(t):
-            self._dispatch_record(record, t)
-        self._start_segment(t)
+        self.rotate(t)
         if self.source.exhausted:
             self._emit({"event": "source-exhausted", "t": t})
             # the just-started segment is empty; stop discards it
             self._stopped = True
+
+    def rotate(self, t: float) -> list[SegmentRecord]:
+        """Seal the live segment at ``t``, dispatch it and start the next one.
+
+        Returns the sealed records, main stream first. Dispatch follows the
+        mode, so in auto mode an upload has already erased their containers.
+        """
+        self._pull_frames(t)
+        records = self._finalize_segment(t)
+        for record in records:
+            self._dispatch_record(record, t)
+        self._start_segment(t)
+        return records
 
     def _pull_frames(self, t: float) -> None:
         if self._segment is not None:
@@ -681,19 +690,3 @@ class CameraRuntime:
             os.unlink(path)
             with open(os.path.join(control, stem + ".resp"), "w", encoding="utf-8") as fh:
                 fh.write(outcome + "\n")
-
-
-def rotate_segment(runtime: CameraRuntime) -> tuple[SegmentRecord, KeyPacket]:
-    """Force a rotation now; returns the finalized record and next packet.
-
-    The returned record keeps its container bytes even where the mode
-    policy erases the runtime's own copy after upload.
-    """
-    t = runtime.clock.now()
-    runtime._pull_frames(t)
-    records = runtime._finalize_segment(t)
-    snapshot = dataclasses.replace(records[0])
-    for record in records:
-        runtime._dispatch_record(record, t)
-    runtime._start_segment(t)
-    return snapshot, runtime._segment.packet

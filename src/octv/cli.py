@@ -20,7 +20,7 @@ from .crypto import ZERO_HASH_PREFIX, verify_chain
 from .errors import ConfigError, NotFoundError, OctvError, ProtocolError
 from .protocol import decode_key_packet
 from .store import FsObjectStore, ObjectKey, StoreServer, fetch_url, open_store
-from .transport import UdpBusPeer, loopback_transport
+from .transport import SimTransport, UdpBusPeer
 
 
 def _install_stop(callback) -> None:
@@ -44,7 +44,7 @@ def cmd_camera_run(args) -> int:
     if config.bus_dir:
         transport = UdpBusPeer(config.bus_dir, "camera")
     else:
-        transport = loopback_transport()
+        transport = SimTransport()
     runtime = CameraRuntime(
         config, RealClock(), build_frame_source(config), transport, store
     )

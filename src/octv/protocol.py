@@ -5,7 +5,6 @@ surface between cameras, listening clients, and third-party tools.
 All multi-byte integers are big-endian.
 """
 
-import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -38,8 +37,6 @@ ADV_KIND_TOKEN = 0x02
 
 LOC_KIND_COORDINATES = 0x00
 LOC_KIND_TEXT = 0x01
-
-_UUID_RE = re.compile(r"^cc92cc92-ca19-0000-0000-00000000[0-9a-f]{4}$")
 
 
 class Mode(IntEnum):
@@ -123,10 +120,6 @@ def characteristic_uuid(suffix: int) -> str:
     if not 0 <= suffix <= 0xFFFF:
         raise ProtocolError(f"characteristic suffix out of 16-bit range: {suffix:#x}")
     return f"{UUID_PREFIX}{suffix:04x}"
-
-
-def is_service_uuid(uuid: str) -> bool:
-    return _UUID_RE.match(uuid) is not None
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,14 @@ class _StoreHandler(BaseHTTPRequestHandler):
             self._reply(400, b"bad request\n")
             self._log("PUT", 400, 0)
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        raw_length = self.headers.get("Content-Length")
+        if raw_length is None or not (raw_length.isascii() and raw_length.isdigit()):
+            status = 411 if raw_length is None else 400
+            self.close_connection = True  # an unread body must not parse as the next request
+            self._reply(status, b"Content-Length must be a decimal byte count\n")
+            self._log("PUT", status, 0)
+            return
+        length = int(raw_length)
         data = self.rfile.read(length)
         try:
             self.server.store.put(key, data)

@@ -3,9 +3,10 @@
 Two backends share one duck-typed peer surface:
 
 * :class:`SimTransport` — in-process broker with disc propagation, per
-  receiver loss draws and a totally ordered delivery log. Loss draws are
-  keyed by (seed, sender, receiver, emission index) so enlarging a radius
-  never flips a previously delivered advertisement.
+  receiver loss draws and a totally ordered delivery log of what reached
+  a radio: adverts to peers in range (delivered or lost) and reads. Loss
+  draws are keyed by (seed, sender, receiver, emission index) so
+  enlarging a radius never flips a previously delivered advertisement.
 * :class:`UdpBusPeer` — local datagram sockets plus a
   registry directory, for multi-process demos. Semantics match the
   in-process loopback mode (infinite radius, zero loss).
@@ -71,10 +72,6 @@ def _loss_draw(seed: int, sender: bytes, receiver: bytes, emission_index: int) -
     material = struct.pack(">q", seed) + sender + receiver + struct.pack(">Q", emission_index)
     digest = hashlib.sha256(material).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
-
-
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 class SimPeer:
@@ -144,7 +141,8 @@ class SimTransport:
             return True
         if sender.position is None or receiver.position is None:
             return True
-        return _distance(sender.position, receiver.position) <= sender.range_model.radius_m
+        (sx, sy), (rx, ry) = sender.position, receiver.position
+        return math.hypot(sx - rx, sy - ry) <= sender.range_model.radius_m
 
     def _advertise(self, sender: SimPeer, payload: bytes) -> None:
         if len(payload) > MAX_ADVERT_LEN:
@@ -156,15 +154,16 @@ class SimTransport:
             sender._emissions += 1
             t = self.clock.now()
             targets = [p for p in self._peers if p is not sender and p._scan_cb is not None]
+        model = sender.range_model
         for receiver in targets:
-            delivered = self._in_range(sender, receiver)
-            if delivered and sender.range_model is not None:
-                model = sender.range_model
-                if model.loss_probability > 0.0:
-                    draw = _loss_draw(
-                        self.seed ^ model.rng_seed, sender.address, receiver.address, emission
-                    )
-                    delivered = draw >= model.loss_probability
+            if not self._in_range(sender, receiver):
+                continue  # never reached a radio: nothing to log
+            delivered = True
+            if model is not None and model.loss_probability > 0.0:
+                draw = _loss_draw(
+                    self.seed ^ model.rng_seed, sender.address, receiver.address, emission
+                )
+                delivered = draw >= model.loss_probability
             self.log.append(
                 TransportRecord("adv", t, sender.address, receiver.address, payload, delivered)
             )
@@ -193,11 +192,6 @@ class SimTransport:
         with open(path, "w", encoding="ascii") as fh:
             for record in self.log:
                 fh.write(record.to_line() + "\n")
-
-
-def loopback_transport(clock=None) -> SimTransport:
-    """Transport with infinite radius and zero loss, for in-process tests."""
-    return SimTransport(clock=clock)
 
 
 # --- UDP bus backend -------------------------------------------------------

@@ -8,7 +8,7 @@ from octv.clocks import SimClock
 from octv.errors import OctvError
 from octv.protocol import CameraDescriptor, Coordinates, Mode
 from octv.store import MemoryObjectStore
-from octv.transport import SimTransport, loopback_transport
+from octv.transport import SimTransport
 
 DEFAULT_SEED = 42
 DEFAULT_RATE = 1000
@@ -140,7 +140,7 @@ def run_pipeline(
     if config.source_duration_s is None:
         config.source_duration_s = segments * config.segment_interval_s
     clock = SimClock(0.0)
-    transport = loopback_transport(clock)
+    transport = SimTransport(clock=clock)
     recording = RecordingStore(store if store is not None else MemoryObjectStore())
     source = SyntheticFrameSource(config.source_seed, config.source_rate, config.source_duration_s)
     key_audit: list = []

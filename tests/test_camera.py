@@ -4,8 +4,8 @@ from harness import FlakyStore, make_config, run_pipeline
 from octv.camera import (
     CameraRuntime,
     SyntheticFrameSource,
+    build_frame_source,
     parse_camera_config,
-    rotate_segment,
     synthetic_stream,
 )
 from octv.clocks import SimClock
@@ -20,7 +20,7 @@ from octv.protocol import (
     decode_key_packet,
 )
 from octv.store import MemoryObjectStore, ObjectKey
-from octv.transport import loopback_transport
+from octv.transport import SimTransport
 
 
 class TestSyntheticFrames:
@@ -52,6 +52,31 @@ class TestSyntheticFrames:
     def test_rate_must_be_positive(self):
         with pytest.raises(ConfigError):
             SyntheticFrameSource(seed=0, rate_bytes_per_s=0)
+
+
+class TestFileFrames:
+    def file_config(self, path):
+        config = make_config(rate=100)
+        config.source_kind = "file"
+        config.source_path = str(path) if path is not None else None
+        return config
+
+    def test_replays_file_then_exhausts(self, tmp_path):
+        path = tmp_path / "footage.bin"
+        path.write_bytes(synthetic_stream(5, 0, 250))
+        source = build_frame_source(self.file_config(path))
+        source.read_until(0.0)  # anchors the epoch
+        reads = [source.read_until(t) for t in (1.0, 2.0)]
+        assert not source.exhausted
+        reads.append(source.read_until(3.0))
+        assert source.exhausted
+        assert [len(r) for r in reads] == [100, 100, 50]
+        assert b"".join(reads) == path.read_bytes()
+        assert source.read_until(4.0) == b""
+
+    def test_missing_source_path(self):
+        with pytest.raises(ConfigError):
+            build_frame_source(self.file_config(None))
 
 
 class TestAutoMode:
@@ -115,36 +140,39 @@ class TestRotation:
     def make_runtime(self, **kwargs):
         config = make_config(segment_interval_s=2, **kwargs)
         clock = SimClock(0.0)
-        transport = loopback_transport(clock)
+        transport = SimTransport(clock=clock)
         source = SyntheticFrameSource(config.source_seed, config.source_rate)
-        runtime = CameraRuntime(config, clock, source, transport, MemoryObjectStore(),
+        store = MemoryObjectStore()
+        runtime = CameraRuntime(config, clock, source, transport, store,
                                 event_sink=lambda e: None)
         runtime.start()
-        return runtime, clock
+        return runtime, clock, store
 
     def test_first_packet_carries_zero_prefix(self):
-        runtime, _ = self.make_runtime()
+        runtime, _, _ = self.make_runtime()
         assert runtime._segment.packet.prev_hash_prefix == bytes(21)
         assert runtime._segment.packet.seq == 0
 
     def test_next_packet_prefix_matches_recomputed_hash(self):
-        runtime, clock = self.make_runtime()
+        runtime, clock, store = self.make_runtime()
         clock.advance_to(2.0)
-        record, next_packet = rotate_segment(runtime)
-        assert next_packet.prev_hash_prefix == hash_prefix(record.container)
+        [record] = runtime.rotate(clock.now())
+        container = store.get(ObjectKey(record.video_id, runtime.config.extension))
+        next_packet = runtime._segment.packet
+        assert next_packet.prev_hash_prefix == hash_prefix(container)
         assert next_packet.seq == 1
 
     def test_fresh_key_and_video_id_each_rotation(self):
-        runtime, clock = self.make_runtime()
+        runtime, clock, _ = self.make_runtime()
         first = runtime._segment
         first_key, first_vid = first.key, first.video_id
         clock.advance_to(2.0)
-        rotate_segment(runtime)
+        runtime.rotate(clock.now())
         assert runtime._segment.key != first_key
         assert runtime._segment.video_id != first_vid
 
     def test_reconnect_interval_equals_segment_interval(self):
-        runtime, _ = self.make_runtime()
+        runtime, _, _ = self.make_runtime()
         assert runtime._segment.packet.reconnect_interval_s == 2
 
 

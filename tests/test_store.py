@@ -1,4 +1,5 @@
 import hashlib
+import http.client
 import os
 import secrets
 import urllib.request
@@ -135,6 +136,21 @@ class TestHttpServer:
         client.put(make_key(3), b"a")
         with pytest.raises(ConflictError):
             client.put(make_key(3), b"b")
+
+    @pytest.mark.parametrize("length, status", [(None, 411), ("-1", 400), ("abc", 400)])
+    def test_put_bad_content_length_rejected(self, server, length, status):
+        server, store = server
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.putrequest("PUT", f"/{make_key(6).path}")
+            if length is not None:
+                conn.putheader("Content-Length", length)
+            conn.endheaders(b"payload")
+            assert conn.getresponse().status == status
+        finally:
+            conn.close()
+        assert store.keys() == []
+        assert server.request_log == [f"PUT /{make_key(6).path} {status} 0"]
 
     def test_request_log_has_no_payload_bytes(self, server):
         server, _ = server

@@ -2,7 +2,7 @@ import pytest
 
 from octv.clocks import SimClock
 from octv.errors import NoSuchCharacteristicError, ProtocolError, UnreachableError
-from octv.transport import RangeModel, SimTransport, UdpBusPeer, loopback_transport
+from octv.transport import RangeModel, SimTransport, UdpBusPeer
 
 
 def collector():
@@ -39,7 +39,7 @@ class TestRangeDelivery:
         listener.on_advertisement(cb)
         camera.advertise(b"hello")
         assert received == []
-        assert len(transport.log) == 1 and not transport.log[0].delivered
+        assert transport.log == []  # an advert that reached no radio is not logged
 
     def test_total_loss_never_delivers(self):
         transport, camera = self.make(radius=10, loss=1.0)
@@ -50,6 +50,16 @@ class TestRangeDelivery:
             camera.advertise(b"x")
         assert received == []
 
+    def test_lost_in_range_advert_is_logged(self):
+        transport, camera = self.make(radius=10, loss=1.0)
+        received, cb = collector()
+        listener = transport.join("listener", position=(5.0, 0.0))
+        listener.on_advertisement(cb)
+        camera.advertise(b"lost")
+        assert received == []
+        [record] = transport.log
+        assert (record.kind, record.receiver, record.delivered) == ("adv", listener.address, False)
+
     def test_oversized_payload_rejected(self):
         transport, camera = self.make()
         with pytest.raises(ProtocolError):
@@ -58,7 +68,7 @@ class TestRangeDelivery:
 
 class TestLoopback:
     def test_reaches_all_scanners(self):
-        transport = loopback_transport(SimClock(0.0))
+        transport = SimTransport(clock=SimClock(0.0))
         sender = transport.join("camera")
         boxes = []
         for _ in range(3):
@@ -69,7 +79,7 @@ class TestLoopback:
         assert all(len(box) == 1 for box in boxes)
 
     def test_fifo_per_sender(self):
-        transport = loopback_transport(SimClock(0.0))
+        transport = SimTransport(clock=SimClock(0.0))
         sender = transport.join("camera")
         received, cb = collector()
         transport.join("listener").on_advertisement(cb)
@@ -78,8 +88,8 @@ class TestLoopback:
         assert [payload[0] for _, payload, _ in received] == list(range(20))
 
     def test_isolated_instances_do_not_cross_deliver(self):
-        t1 = loopback_transport(SimClock(0.0))
-        t2 = loopback_transport(SimClock(0.0))
+        t1 = SimTransport(clock=SimClock(0.0))
+        t2 = SimTransport(clock=SimClock(0.0))
         sender = t1.join("camera")
         received, cb = collector()
         t2.join("listener").on_advertisement(cb)
@@ -165,7 +175,7 @@ class TestCharacteristicReads:
 
 class TestLogExport:
     def test_line_format(self, tmp_path):
-        transport = loopback_transport(SimClock(1.5))
+        transport = SimTransport(clock=SimClock(1.5))
         sender = transport.join("camera")
         received, cb = collector()
         transport.join("listener").on_advertisement(cb)
