@@ -114,12 +114,18 @@ class Wallet:
 
     def _open(self) -> None:
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+            with open(self.path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
-            lines = None
-        if lines is not None:
-            self._parse(lines, source=self.path)
+            data = None
+        if data is not None:
+            # An unterminated last line is an append cut short by a crash.
+            # Lines are fsynced before they are acknowledged, so it was never
+            # acknowledged: drop it, once the lines before it check out.
+            kept = data[: data.rfind(b"\n") + 1]
+            self._parse(kept.decode("utf-8", errors="replace").splitlines(), source=self.path)
+            if len(kept) < len(data):
+                os.truncate(self.path, len(kept))
             self._fh = open(self.path, "a", encoding="utf-8")
         else:
             self._fh = open(self.path, "w", encoding="utf-8")

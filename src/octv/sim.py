@@ -27,7 +27,7 @@ from .clocks import SimClock
 from .errors import ConfigError
 from .protocol import CHAR_KEY_PACKET, CHAR_TIER_KEY_PACKET, CameraDescriptor, Mode
 from .store import MemoryObjectStore
-from .transport import RangeModel, SimTransport
+from .transport import RangeModel, SimTransport, disc_cells, grid_cell
 
 
 @dataclass(frozen=True)
@@ -312,14 +312,16 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
         (si, ci): set() for si in range(len(peers)) for ci in range(len(runtimes))
     }
 
+    cell_m, cells = _view_cells(scenario.cameras)
+
     for k in range(steps):
         t = k * dt
         clock.advance_to(t)
         for si, (subject, peer) in enumerate(zip(scenario.subjects, peers)):
             position = subject.trajectory.position_at(t)
             peer.set_position(position)
-            for ci, cam in enumerate(scenario.cameras):
-                if in_view(cam, position):
+            for ci in cells.get(grid_cell(position, cell_m), ()):
+                if in_view(scenario.cameras[ci], position):
                     view_samples[(si, ci)].add(k)
         for runtime in runtimes:
             runtime.advance_to(t)
@@ -328,6 +330,20 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
     windows = _collect_windows(scenario, runtimes)
     report = _build_report(scenario, wallets, windows, view_samples, dt, steps)
     return report, transport
+
+
+def _view_cells(cameras) -> tuple[float, dict[tuple[int, int], list[int]]]:
+    """Camera indices listed under every grid cell their view disc
+    overlaps, so a subject is tested only against its cell's cameras; a
+    cell is as wide as the deepest view."""
+    cell_m = max((cam.view_depth_m for cam in cameras), default=1.0)
+    if not math.isfinite(cell_m):  # an unbounded view: one cell holds every camera
+        return cell_m, {(0, 0): list(range(len(cameras)))}
+    cells: dict[tuple[int, int], list[int]] = {}
+    for ci, cam in enumerate(cameras):
+        for key in disc_cells(cam.position, cam.view_depth_m, cell_m):
+            cells.setdefault(key, []).append(ci)
+    return cell_m, cells
 
 
 def _collect_windows(scenario: Scenario, runtimes: list[CameraRuntime]) -> dict[bytes, _SegmentWindow]:

@@ -145,64 +145,56 @@ class _StoreHandler(BaseHTTPRequestHandler):
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
         except ProtocolError:
-            self._reply(400, b"bad request: expected /<16-hex-id>.<mp4|jpg>\n")
-            self._log("GET", 400, 0)
+            self._reply("GET", 400, b"bad request: expected /<16-hex-id>.<mp4|jpg>\n")
             return
         try:
             data = self.server.store.get(key)
         except NotFoundError:
-            self._reply(404, b"not found\n")
-            self._log("GET", 404, 0)
+            self._reply("GET", 404, b"not found\n")
             return
-        self._reply(200, data, content_type="application/octet-stream")
-        self._log("GET", 200, len(data))
+        self._reply("GET", 200, data, len(data), content_type="application/octet-stream")
 
     def do_PUT(self):
         # operator writes are restricted to loopback connections
         if self.client_address[0] not in ("127.0.0.1", "::1"):
-            self._reply(403, b"uploads restricted to operator loopback\n")
-            self._log("PUT", 403, 0)
+            self._reply("PUT", 403, b"uploads restricted to operator loopback\n")
             return
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
         except ProtocolError:
-            self._reply(400, b"bad request\n")
-            self._log("PUT", 400, 0)
+            self._reply("PUT", 400, b"bad request\n")
             return
         raw_length = self.headers.get("Content-Length")
         if raw_length is None or not (raw_length.isascii() and raw_length.isdigit()):
             status = 411 if raw_length is None else 400
             self.close_connection = True  # an unread body must not parse as the next request
-            self._reply(status, b"Content-Length must be a decimal byte count\n")
-            self._log("PUT", status, 0)
+            self._reply("PUT", status, b"Content-Length must be a decimal byte count\n")
             return
         length = int(raw_length)
         data = self.rfile.read(length)
         try:
             self.server.store.put(key, data)
         except ConflictError:
-            self._reply(409, b"object exists\n")
-            self._log("PUT", 409, length)
+            self._reply("PUT", 409, b"object exists\n", length)
             return
-        self._reply(201, b"created\n")
-        self._log("PUT", 201, length)
+        self._reply("PUT", 201, b"created\n", length)
 
     def do_HEAD(self):
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
         except ProtocolError:
-            self.send_response(400)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            self._log("HEAD", 400, 0)
-            return
-        exists = self.server.store.contains(key)
-        self.send_response(200 if exists else 404)
+            status = 400
+        else:
+            status = 200 if self.server.store.contains(key) else 404
+        self._log("HEAD", status, 0)
+        self.send_response(status)
         self.send_header("Content-Length", "0")
         self.end_headers()
-        self._log("HEAD", 200 if exists else 404, 0)
 
-    def _reply(self, status: int, body: bytes, content_type: str = "text/plain"):
+    def _reply(self, method: str, status: int, body: bytes, logged_length: int = 0,
+               content_type: str = "text/plain"):
+        # logged before a byte goes out: a client that has its reply sees the entry
+        self._log(method, status, logged_length)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))

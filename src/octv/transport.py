@@ -7,6 +7,8 @@ Two backends share one duck-typed peer surface:
   a radio: adverts to peers in range (delivered or lost) and reads. Loss
   draws are keyed by (seed, sender, receiver, emission index) so
   enlarging a radius never flips a previously delivered advertisement.
+  Listeners are indexed by grid cell, so an advert only tests the peers
+  in the cells its disc overlaps.
 * :class:`UdpBusPeer` — local datagram sockets plus a
   registry directory, for multi-process demos. Semantics match the
   in-process loopback mode (infinite radius, zero loss).
@@ -20,6 +22,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .clocks import RealClock
 from .errors import NoSuchCharacteristicError, ProtocolError, UnreachableError
@@ -74,6 +77,24 @@ def _loss_draw(seed: int, sender: bytes, receiver: bytes, emission_index: int) -
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
+def grid_cell(position, width: float) -> tuple[int, int]:
+    """Key of the square grid cell of side ``width`` holding ``position``."""
+    return (math.floor(position[0] / width), math.floor(position[1] / width))
+
+
+def disc_cells(center, radius: float, width: float) -> list[tuple[int, int]]:
+    """Keys of the grid cells that a disc's bounding box overlaps.
+
+    The box is widened by a hair: rounding is monotone, so every position
+    that passes an exact ``hypot(...) <= radius`` test against ``center``
+    has its :func:`grid_cell` among these.
+    """
+    reach = radius * (1 + 1e-9)
+    x_lo, y_lo = grid_cell((center[0] - reach, center[1] - reach), width)
+    x_hi, y_hi = grid_cell((center[0] + reach, center[1] + reach), width)
+    return [(i, j) for i in range(x_lo, x_hi + 1) for j in range(y_lo, y_hi + 1)]
+
+
 class SimPeer:
     """Handle returned by :meth:`SimTransport.join`."""
 
@@ -81,19 +102,27 @@ class SimPeer:
                  position, range_model: RangeModel | None):
         self.address = address
         self.kind = kind
-        self.position = position
+        self._position = position
         self.range_model = range_model
         self._transport = transport
         self._scan_cb = None
         self._characteristics = None
         self._emissions = 0
+        self._order = len(transport._peers)  # join order: delivery order of one advert
+
+    @property
+    def position(self):
+        return self._position
 
     def set_position(self, position) -> None:
-        self.position = position
+        # the one way to move: the broker's grid must hear of it
+        self._position = position
+        self._transport._cells = None
 
     def on_advertisement(self, callback) -> None:
         """Register scan callback(sender_address, payload, t)."""
         self._scan_cb = callback
+        self._transport._cells = None
 
     def serve_characteristics(self, resolver) -> None:
         """Register resolver(suffix) -> bytes for incoming reads."""
@@ -120,6 +149,13 @@ class SimTransport:
         self._by_address: dict[bytes, SimPeer] = {}
         self._next_address = 1
         self._lock = threading.RLock()
+        # Uniform grid of the listening peers, rebuilt lazily: cell key ->
+        # positioned peers in join order, plus the unpositioned ones. A
+        # cell is as wide as the largest radius joined, so a disc overlaps
+        # few cells.
+        self._cell_m = 0.0
+        self._cells: dict[tuple[int, int], list[SimPeer]] | None = None
+        self._unplaced: list[SimPeer] = []
 
     def join(self, kind: str, position=None, address: bytes | None = None,
              range_model: RangeModel | None = None) -> SimPeer:
@@ -134,14 +170,17 @@ class SimTransport:
             peer = SimPeer(self, address, kind, position, range_model)
             self._peers.append(peer)
             self._by_address[address] = peer
+            if range_model is not None:
+                self._cell_m = max(self._cell_m, range_model.radius_m)
+            self._cells = None
             return peer
 
     def _in_range(self, sender: SimPeer, receiver: SimPeer) -> bool:
         if sender.range_model is None:
             return True
-        if sender.position is None or receiver.position is None:
+        if sender._position is None or receiver._position is None:
             return True
-        (sx, sy), (rx, ry) = sender.position, receiver.position
+        (sx, sy), (rx, ry) = sender._position, receiver._position
         return math.hypot(sx - rx, sy - ry) <= sender.range_model.radius_m
 
     def _advertise(self, sender: SimPeer, payload: bytes) -> None:
@@ -153,7 +192,7 @@ class SimTransport:
             emission = sender._emissions
             sender._emissions += 1
             t = self.clock.now()
-            targets = [p for p in self._peers if p is not sender and p._scan_cb is not None]
+            targets = self._candidates(sender)
         model = sender.range_model
         for receiver in targets:
             if not self._in_range(sender, receiver):
@@ -169,6 +208,38 @@ class SimTransport:
             )
             if delivered:
                 receiver._scan_cb(sender.address, payload, t)
+
+    def _candidates(self, sender: SimPeer) -> list[SimPeer]:
+        """Listening peers that may be in range of ``sender``, in join order.
+
+        A positioned sender with a finite radius takes the positioned
+        peers in the cells its disc overlaps, plus every unpositioned
+        peer; any other sender takes every listening peer.
+        """
+        model = sender.range_model
+        if model is None or sender._position is None or not math.isfinite(model.radius_m):
+            return [p for p in self._peers if p is not sender and p._scan_cb is not None]
+        if self._cells is None:
+            self._index()
+        targets = [p for p in self._unplaced if p is not sender]
+        for key in disc_cells(sender._position, model.radius_m, self._cell_m):
+            for p in self._cells.get(key, ()):
+                if p is not sender:
+                    targets.append(p)
+        targets.sort(key=attrgetter("_order"))
+        return targets
+
+    def _index(self) -> None:
+        cells: dict[tuple[int, int], list[SimPeer]] = {}
+        unplaced = []
+        for peer in self._peers:
+            if peer._scan_cb is None:
+                continue
+            if peer._position is None:
+                unplaced.append(peer)
+            else:
+                cells.setdefault(grid_cell(peer._position, self._cell_m), []).append(peer)
+        self._cells, self._unplaced = cells, unplaced
 
     def _read(self, reader: SimPeer, target_address: bytes, suffix: int) -> bytes:
         t = self.clock.now()

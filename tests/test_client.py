@@ -116,6 +116,46 @@ class TestWalletPersistence:
         with pytest.raises(WalletError, match="line 2"):
             Wallet(path)
 
+    def test_torn_last_line_dropped(self, tmp_path):
+        path = tmp_path / "wallet.txt"
+        wallet = Wallet(path)
+        kept = make_record(seq=0)
+        wallet.ingest(kept)
+        wallet.close()
+        torn = Wallet()
+        torn.ingest(make_record(seq=1))
+        export_wallet(torn, None, tmp_path / "line.txt")
+        line = (tmp_path / "line.txt").read_text().splitlines()[1]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[: len(line) // 2])  # a crash mid-append: no newline
+
+        reopened = Wallet(path)
+        assert [r.packet for r in reopened.records] == [kept.packet]
+        assert path.read_text().endswith("\n")
+        later = make_record(seq=2)
+        assert reopened.ingest(later)
+        reopened.close()
+        assert [r.packet for r in Wallet(path).records] == [kept.packet, later.packet]
+
+    def test_bad_terminated_last_line_stays_fatal(self, tmp_path):
+        path = tmp_path / "wallet.txt"
+        wallet = Wallet(path)
+        wallet.ingest(make_record())
+        wallet.close()
+        line = path.read_text().splitlines()[1]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[: len(line) // 2] + "\n")
+        before = path.read_bytes()
+        with pytest.raises(WalletError, match="line 3"):
+            Wallet(path)
+        assert path.read_bytes() == before
+
+    def test_non_utf8_line_names_line_number(self, tmp_path):
+        path = tmp_path / "wallet.txt"
+        path.write_bytes(b"octv-wallet 1\nR \xff\xfe 00000000\n")
+        with pytest.raises(WalletError, match="line 2"):
+            Wallet(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "wallet.txt"
         path.write_text("not a wallet\n")

@@ -72,6 +72,20 @@ class TestGeometry:
                 config=fig4_scenario().cameras[0].config,
             )
 
+    def test_unbounded_view_depth(self):
+        scenario = scenario_from_dict(
+            {
+                "duration_s": 10,
+                "cameras": [
+                    {"position": [0, 0], "fov_deg": 90, "view_depth_m": float("inf"),
+                     "radio": {"radius_m": 10}, "segment_interval_s": 10},
+                ],
+                "subjects": [{"name": "far", "waypoints": [[0, 1000, 0]]}],
+            }
+        )
+        report = assert_report_matches_oracle(scenario)
+        assert report.subjects[0].in_view_seconds == 10.0
+
     def test_waypoint_times_strictly_increasing(self):
         with pytest.raises(ConfigError):
             Trajectory(((0, 0, 0), (0, 1, 1)))
@@ -279,6 +293,55 @@ class TestTierGating:
         trusted, untrusted = report.subjects
         assert trusted.over_share_seconds == 0.0  # holds only the token of its chunk
         assert untrusted.over_share_seconds == 30.0  # the base tier is one key
+
+
+def city_block_scenario(layout_seed=11, side=120.0, duration=120):
+    """6 cameras spread over a square many grid cells wide and 12 walkers
+    going from camera to camera: mixed radii and view depths, lossy
+    radios, chunked and tiered cameras (one both), untrusted subjects."""
+    import random
+
+    rng = random.Random(layout_seed)
+    cameras = []
+    for i in range(6):
+        camera = {
+            "name": f"cam-{i}",
+            "position": [(i % 3 + rng.uniform(0.2, 0.8)) * side / 3,
+                         (i // 3 + rng.uniform(0.2, 0.8)) * side / 2],
+            "orientation_deg": rng.uniform(-180, 180),
+            "fov_deg": rng.choice((60, 90, 180, 360)),
+            "view_depth_m": rng.uniform(4, 25),
+            "segment_interval_s": rng.choice((20, 30)),
+            "radio": {
+                "radius_m": rng.uniform(6, 35),
+                "loss_probability": rng.choice((0.0, 0.2, 0.5)),
+                "rng_seed": i,
+            },
+        }
+        if i % 2 == 0:
+            camera["chunk_count"] = 4
+            camera["token_advert_interval_ms"] = 1000 * camera["segment_interval_s"] // 4
+        if i % 3 == 0:
+            camera["tiering"] = True
+        cameras.append(camera)
+    subjects = []
+    for j in range(12):
+        waypoints = []
+        for t in range(0, duration + 30, 30):
+            cx, cy = rng.choice(cameras)["position"]
+            waypoints.append([t, cx + rng.uniform(-30, 30), cy + rng.uniform(-30, 30)])
+        subjects.append({"name": f"walker-{j}", "waypoints": waypoints, "trusted": j % 3 != 0})
+    return scenario_from_dict({"duration_s": duration, "cameras": cameras, "subjects": subjects})
+
+
+class TestCityScale:
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_many_cells_match_oracle(self, seed):
+        report = assert_report_matches_oracle(city_block_scenario(), seed=seed)
+        assert all(camera.keys_delivered for camera in report.cameras)
+        totals = report.totals
+        assert totals["tokens_received"] > 0
+        assert 0 < totals["bleed_keys"] < totals["keys_received"]
 
 
 class TestScenarioFile:

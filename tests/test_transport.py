@@ -127,6 +127,98 @@ class TestDeterminismAndMonotonicity:
         assert delivered_small <= delivered_large
 
 
+class TestGridIndex:
+    """The broker only tests listeners in the cells an advert's disc
+    overlaps; deliveries must match a scan of every peer."""
+
+    def camera(self, transport, position=(0.0, 0.0), radius=10.0):
+        return transport.join("camera", position=position, range_model=RangeModel(radius_m=radius))
+
+    def listener(self, transport, position, heard, name=None):
+        peer = transport.join("listener", position=position)
+        peer.on_advertisement(lambda sender, payload, t: heard.append(peer.address if name is None else name))
+        return peer
+
+    def test_receiver_exactly_at_radius_across_cell_edge(self):
+        transport = SimTransport(clock=SimClock(0.0))
+        camera = self.camera(transport, position=(5.0, 5.0), radius=10.0)  # cells are 10 m wide
+        heard = []
+        for name, position in [("east", (15.0, 5.0)), ("west", (-5.0, 5.0)),
+                               ("north", (5.0, 15.0)), ("south", (5.0, -5.0)),
+                               ("corner", (5.0 + 6.0, 5.0 + 8.0)), ("past", (15.0 + 1e-9, 5.0))]:
+            self.listener(transport, position, heard, name)
+        camera.advertise(b"edge")
+        assert heard == ["east", "west", "north", "south", "corner"]
+
+    def test_unpositioned_peer_hears_positioned_sender(self):
+        transport = SimTransport(clock=SimClock(0.0))
+        camera = self.camera(transport, radius=5.0)
+        heard = []
+        self.listener(transport, (500.0, 500.0), heard, "far")
+        self.listener(transport, None, heard, "nowhere")
+        camera.advertise(b"x")
+        assert heard == ["nowhere"]
+
+    def test_late_listener_and_moving_peer(self):
+        transport = SimTransport(clock=SimClock(0.0))
+        camera = self.camera(transport, radius=10.0)
+        heard = []
+        late = transport.join("listener", position=(3.0, 0.0))
+        mover = self.listener(transport, (500.0, 0.0), heard, "mover")
+        camera.advertise(b"1")  # indexes the grid before ``late`` listens
+        late.on_advertisement(lambda *args: heard.append("late"))
+        camera.advertise(b"2")
+        mover.set_position((0.0, -9.0))
+        camera.advertise(b"3")
+        late.set_position((-40.0, 0.0))
+        camera.advertise(b"4")
+        assert heard == ["late", "late", "mover", "mover"]
+
+    def test_later_camera_with_larger_radius_reaches_its_disc(self):
+        transport = SimTransport(clock=SimClock(0.0))
+        small = self.camera(transport, radius=5.0)
+        heard = []
+        positions = [(50.0, 0.0), (0.0, -50.0), (-30.0, 40.0), (35.0, 35.0), (51.0, 0.0)]
+        for i, position in enumerate(positions):
+            self.listener(transport, position, heard, i)
+        small.advertise(b"s")  # indexes the grid in 5 m cells
+        assert heard == []
+        large = self.camera(transport, radius=50.0)
+        large.advertise(b"l")
+        assert heard == [0, 1, 2, 3]
+
+    def test_unbounded_radius_reaches_every_listener(self):
+        transport = SimTransport(clock=SimClock(0.0))
+        unbounded = self.camera(transport, radius=float("inf"))
+        small = self.camera(transport, radius=5.0)
+        heard = []
+        self.listener(transport, (1e6, -1e6), heard, "far")
+        self.listener(transport, (1.0, 0.0), heard, "near")
+        unbounded.advertise(b"u")
+        small.advertise(b"s")
+        assert heard == ["far", "near", "near"]
+
+    def test_callbacks_fire_in_join_order(self):
+        transport = SimTransport(clock=SimClock(0.0), seed=5)
+        camera = transport.join(
+            "camera", position=(0.0, 0.0),
+            range_model=RangeModel(radius_m=20.0, loss_probability=0.3, rng_seed=9),
+        )
+        heard = []
+        positions = [(19.0, 0.0), (-19.0, -1.0), None, (0.0, 19.0), (1.0, 1.0), (-5.0, 18.0)]
+        peers = [self.listener(transport, p, heard) for p in positions]
+        for i in range(30):
+            camera.advertise(bytes([i]))
+        order = {peer.address: n for n, peer in enumerate(peers)}
+        per_advert = [
+            [order[r.receiver] for r in transport.log if r.payload == bytes([i])] for i in range(30)
+        ]
+        assert all(receivers == list(range(len(peers))) for receivers in per_advert)
+        delivered = [r.receiver for r in transport.log if r.delivered]
+        assert heard == delivered
+        assert len(delivered) < len(transport.log)  # some adverts were lost
+
+
 class TestCharacteristicReads:
     def make_camera(self, radius=10.0):
         transport = SimTransport(clock=SimClock(0.0), seed=0)
