@@ -24,11 +24,8 @@ from .errors import (
 )
 from .protocol import (
     CHAR_KEY_PACKET,
-    CHAR_LOCATION,
-    CHAR_MODE,
-    CHAR_NAME,
     CHAR_TIER_KEY_PACKET,
-    CHAR_URL_FORMAT,
+    DESCRIPTOR_CHARS,
     Beacon,
     CameraDescriptor,
     Coordinates,
@@ -655,7 +652,7 @@ class CameraRuntime:
 
     def _resolve_characteristic(self, suffix: int) -> bytes:
         descriptor = self.config.descriptor
-        if suffix in (CHAR_NAME, CHAR_MODE, CHAR_LOCATION, CHAR_URL_FORMAT):
+        if suffix in DESCRIPTOR_CHARS:
             return encode_characteristic(descriptor, suffix)
         if suffix == CHAR_KEY_PACKET and self._segment is not None:
             return encode_key_packet(self._segment.packet)

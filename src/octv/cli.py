@@ -199,12 +199,8 @@ def cmd_verify_chain(args) -> int:
     items = []
     labels = []
     unverified = []
-    for address in sorted({r.camera_address for r in wallet.records}):
-        records = sorted(
-            (r for r in wallet.records if r.camera_address == address),
-            key=lambda r: r.received_at,
-        )
-        for record in records:
+    for address in sorted(wallet.by_camera):
+        for record in sorted(wallet.by_camera[address], key=lambda r: r.received_at):
             data = None
             for extension in ("mp4", "jpg"):
                 path = os.path.join(args.dir, ObjectKey(record.packet.video_id, extension).path)

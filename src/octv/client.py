@@ -10,17 +10,21 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .crypto import ChainStatus, ChunkToken
-from .errors import IntegrityError, NotFoundError, ProtocolError, UnreachableError, WalletError
+from .errors import (
+    IntegrityError,
+    NoSuchCharacteristicError,
+    NotFoundError,
+    ProtocolError,
+    UnreachableError,
+    WalletError,
+)
 from .protocol import (
     CHAR_KEY_PACKET,
-    CHAR_LOCATION,
-    CHAR_MODE,
-    CHAR_NAME,
-    CHAR_URL_FORMAT,
+    DESCRIPTOR_CHARS,
     Beacon,
     CameraDescriptor,
     Coordinates,
@@ -40,28 +44,40 @@ WALLET_HEADER = "octv-wallet 1"
 def encode_descriptor_blob(descriptor: CameraDescriptor) -> bytes:
     """Length-prefixed concatenation of the four characteristic encodings."""
     parts = []
-    for which in (CHAR_NAME, CHAR_MODE, CHAR_LOCATION, CHAR_URL_FORMAT):
+    for which in DESCRIPTOR_CHARS:
         value = encode_characteristic(descriptor, which)
         parts.append(struct.pack(">H", len(value)) + value)
     return b"".join(parts)
 
 
+def _descriptor_from_values(values: list[bytes]) -> CameraDescriptor:
+    """The descriptor served as these DESCRIPTOR_CHARS values; a bad one is a ProtocolError."""
+    if any(len(value) > 0xFFFF for value in values):  # the wallet stores a 2-byte length
+        raise ProtocolError("descriptor value longer than 65535 bytes")
+    name, mode, location, url_template = (
+        decode_characteristic(which, value) for which, value in zip(DESCRIPTOR_CHARS, values)
+    )
+    try:
+        return CameraDescriptor(name=name, mode=mode, location=location, url_template=url_template)
+    except ValueError as exc:
+        raise ProtocolError(f"invalid camera descriptor: {exc}") from None
+
+
 def decode_descriptor_blob(blob: bytes) -> CameraDescriptor:
-    fields = []
+    values = []
     offset = 0
-    for which in (CHAR_NAME, CHAR_MODE, CHAR_LOCATION, CHAR_URL_FORMAT):
+    for _ in DESCRIPTOR_CHARS:
         if offset + 2 > len(blob):
             raise ProtocolError("descriptor blob truncated")
         (length,) = struct.unpack(">H", blob[offset : offset + 2])
         offset += 2
         if offset + length > len(blob):
             raise ProtocolError("descriptor blob truncated")
-        fields.append(decode_characteristic(which, blob[offset : offset + length]))
+        values.append(blob[offset : offset + length])
         offset += length
     if offset != len(blob):
         raise ProtocolError("trailing bytes in descriptor blob")
-    name, mode, location, url_template = fields
-    return CameraDescriptor(name=name, mode=mode, location=location, url_template=url_template)
+    return _descriptor_from_values(values)
 
 
 @dataclass
@@ -72,7 +88,6 @@ class WalletRecord:
     camera_address: bytes
     descriptor: CameraDescriptor
     packet: KeyPacket
-    tokens: list[ChunkToken] = field(default_factory=list)
 
     def dedup_key(self) -> tuple[bytes, bytes, int]:
         return (self.camera_address, self.packet.video_id, self.packet.seq)
@@ -99,12 +114,14 @@ class Wallet:
 
     A ``path`` of ``None`` keeps the wallet in memory (used for imports
     and tests); otherwise every accepted record hits disk before the
-    ingest call returns.
+    ingest call returns. ``records`` lists every record in ingest order;
+    ``by_camera`` lists the same records per camera address, in that order.
     """
 
     def __init__(self, path=None):
         self.path = str(path) if path is not None else None
         self.records: list[WalletRecord] = []
+        self.by_camera: dict[bytes, list[WalletRecord]] = {}
         self._index: set[tuple[bytes, bytes, int]] = set()
         self._tokens: dict[bytes, dict[int, ChunkToken]] = {}
         self._token_times: dict[tuple[bytes, int], float] = {}
@@ -117,22 +134,25 @@ class Wallet:
             with open(self.path, "rb") as fh:
                 data = fh.read()
         except FileNotFoundError:
-            data = None
-        if data is not None:
-            # An unterminated last line is an append cut short by a crash.
-            # Lines are fsynced before they are acknowledged, so it was never
-            # acknowledged: drop it, once the lines before it check out.
-            kept = data[: data.rfind(b"\n") + 1]
-            self._parse(kept.decode("utf-8", errors="replace").splitlines(), source=self.path)
-            if len(kept) < len(data):
-                os.truncate(self.path, len(kept))
-            self._fh = open(self.path, "a", encoding="utf-8")
-        else:
             self._fh = open(self.path, "w", encoding="utf-8")
             self._fh.write(WALLET_HEADER + "\n")
             self._fh.flush()
+            return
+        kept = self._load(data, source=self.path)
+        if kept < len(data):
+            os.truncate(self.path, kept)  # appends must start on a fresh line
+        self._fh = open(self.path, "a", encoding="utf-8")
 
-    def _parse(self, lines: list[str], source: str) -> None:
+    def _load(self, data: bytes, source: str) -> int:
+        """Parse the lines of a wallet file; returns the length parsed.
+
+        An unterminated last line is an append cut short by a crash.
+        Lines are fsynced before they are acknowledged, so it was never
+        acknowledged: it is skipped, once the lines before it check out.
+        A byte that is not UTF-8 decodes to U+FFFD and fails its line.
+        """
+        kept = data.rfind(b"\n") + 1
+        lines = data[:kept].decode("utf-8", errors="replace").splitlines()
         if not lines or lines[0] != WALLET_HEADER:
             raise WalletError(f"{source}: line 1: missing wallet header")
         for lineno, line in enumerate(lines[1:], start=2):
@@ -164,14 +184,15 @@ class Wallet:
                     raise ValueError(f"unknown record type {parts[0]!r}")
             except (ValueError, IndexError, ProtocolError) as exc:
                 raise WalletError(f"{source}: line {lineno}: {exc}") from None
+        return kept
 
     def _add_record(self, record: WalletRecord) -> bool:
         key = record.dedup_key()
         if key in self._index:
             return False
         self._index.add(key)
-        record.tokens = self.tokens_for(record.packet.video_id)
         self.records.append(record)
+        self.by_camera.setdefault(record.camera_address, []).append(record)
         return True
 
     def _add_token(self, token: ChunkToken, received_at: float) -> bool:
@@ -180,9 +201,6 @@ class Wallet:
             return False
         per_video[token.chunk_index] = token
         self._token_times[(token.video_id, token.chunk_index)] = received_at
-        for record in self.records:
-            if record.packet.video_id == token.video_id:
-                record.tokens.append(token)
         return True
 
     def _append_line(self, line: str) -> None:
@@ -233,10 +251,8 @@ class Wallet:
         latest = record.received_at + 2 * record.packet.reconnect_interval_s
         candidates = [
             r
-            for r in self.records
-            if r.camera_address == record.camera_address
-            and r.packet.seq == want_seq
-            and record.received_at <= r.received_at <= latest
+            for r in self.by_camera.get(record.camera_address, ())
+            if r.packet.seq == want_seq and record.received_at <= r.received_at <= latest
         ]
         return min(candidates, key=lambda r: r.received_at) if candidates else None
 
@@ -270,14 +286,16 @@ def export_wallet(wallet: Wallet, time_range: tuple[float, float] | None, path) 
 
 
 def import_wallet(path) -> Wallet:
-    """Parse a wallet file into memory; errors name the offending line."""
+    """Parse a wallet file into memory; errors name the offending line.
+
+    A torn last line is skipped as by :class:`Wallet`, but the file is never written.
+    """
     wallet = Wallet(path=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            wallet._load(fh.read(), source=str(path))
     except OSError as exc:
         raise WalletError(f"cannot read {path}: {exc}") from None
-    wallet._parse(lines, source=str(path))
     return wallet
 
 
@@ -333,7 +351,7 @@ def _camera_groups(wallet: Wallet, rule: GapRule) -> dict[bytes, str]:
         if isinstance(record.descriptor.location, Coordinates):
             positions[record.camera_address] = record.descriptor.location
 
-    addresses = sorted({r.camera_address for r in wallet.records})
+    addresses = sorted(wallet.by_camera)
     parent = {a: a for a in addresses}
 
     def find(a: bytes) -> bytes:
@@ -363,11 +381,8 @@ def group_sessions(wallet: Wallet, rule: GapRule = GapRule()) -> list[Session]:
     """
     groups = _camera_groups(wallet, rule)
     sessions: list[Session] = []
-    for address in sorted({r.camera_address for r in wallet.records}):
-        records = sorted(
-            (r for r in wallet.records if r.camera_address == address),
-            key=lambda r: (r.received_at, r.packet.seq),
-        )
+    for address in sorted(wallet.by_camera):
+        records = sorted(wallet.by_camera[address], key=lambda r: (r.received_at, r.packet.seq))
         run: list[WalletRecord] = []
         for record in records:
             if run and record.received_at - run[-1].received_at > rule.threshold(
@@ -448,22 +463,11 @@ class Listener:
         peer.on_advertisement(self._on_advertisement)
 
     def _descriptor(self, camera_address: bytes) -> CameraDescriptor:
-        cached = self._descriptors.get(camera_address)
-        if cached is not None:
-            return cached
-        values = {}
-        for which in (CHAR_NAME, CHAR_MODE, CHAR_LOCATION, CHAR_URL_FORMAT):
-            values[which] = decode_characteristic(
-                which, self.peer.read_characteristic(camera_address, which)
+        if camera_address not in self._descriptors:
+            self._descriptors[camera_address] = _descriptor_from_values(
+                [self.peer.read_characteristic(camera_address, which) for which in DESCRIPTOR_CHARS]
             )
-        descriptor = CameraDescriptor(
-            name=values[CHAR_NAME],
-            mode=values[CHAR_MODE],
-            location=values[CHAR_LOCATION],
-            url_template=values[CHAR_URL_FORMAT],
-        )
-        self._descriptors[camera_address] = descriptor
-        return descriptor
+        return self._descriptors[camera_address]
 
     def _on_advertisement(self, sender: bytes, payload: bytes, t: float) -> None:
         try:
@@ -492,5 +496,5 @@ class Listener:
                     video_id=advert.video_id,
                 )
                 self.wallet.add_token(token, t)
-        except (UnreachableError, ProtocolError):
-            return  # camera went out of range mid-exchange; try next beacon
+        except (UnreachableError, NoSuchCharacteristicError, ProtocolError):
+            return  # out of range mid-exchange, or not a well-formed camera; try next beacon

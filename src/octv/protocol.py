@@ -28,6 +28,8 @@ CHAR_MODE = 0x0002
 CHAR_LOCATION = 0x0003
 CHAR_URL_FORMAT = 0x0004
 CHAR_KEY_PACKET = 0x0011
+# The descriptor's characteristics, in the order they are read and stored.
+DESCRIPTOR_CHARS = (CHAR_NAME, CHAR_MODE, CHAR_LOCATION, CHAR_URL_FORMAT)
 # Extension beyond the base descriptor table: key packet for the
 # reduced-rate base-tier stream, present only when tiering is enabled.
 CHAR_TIER_KEY_PACKET = 0x0012

@@ -412,7 +412,7 @@ def _build_report(scenario, wallets, windows, view_samples, dt, steps) -> BleedR
             else:
                 interval = scenario.cameras[window.camera_index].config.segment_interval_s
                 chunk_duration = interval / window.chunk_count
-                held = {token.chunk_index for token in record.tokens}
+                held = {token.chunk_index for token in wallet.tokens_for(video_id)}
                 over = 0.0
                 for j in range(window.chunk_count):
                     if j not in held:

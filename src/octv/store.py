@@ -8,6 +8,7 @@ request log holds method, path, status and size only.
 
 import os
 import re
+import secrets
 import threading
 import time
 import urllib.error
@@ -59,7 +60,6 @@ class MemoryObjectStore:
 
     def __init__(self):
         self._objects: dict[str, bytes] = {}
-        self._written_at: dict[str, float] = {}
         self._lock = threading.Lock()
 
     def put(self, key: ObjectKey, data: bytes) -> None:
@@ -67,7 +67,6 @@ class MemoryObjectStore:
             if key.path in self._objects:
                 raise ConflictError(f"object {key.path} already exists")
             self._objects[key.path] = bytes(data)
-            self._written_at[key.path] = time.time()
 
     def get(self, key: ObjectKey) -> bytes:
         try:
@@ -88,20 +87,23 @@ class FsObjectStore:
     def __init__(self, root):
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _file(self, key: ObjectKey) -> str:
         return os.path.join(self.root, key.path)
 
     def put(self, key: ObjectKey, data: bytes) -> None:
         path = self._file(key)
-        with self._lock:
-            if os.path.exists(path):
-                raise ConflictError(f"object {key.path} already exists")
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
+        # a temp name no other put shares; the link fails if any store made the object
+        tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
                 fh.write(data)
-            os.replace(tmp, path)
+            os.link(tmp, path)
+        except FileExistsError:
+            raise ConflictError(f"object {key.path} already exists") from None
+        finally:
+            os.unlink(tmp)
 
     def get(self, key: ObjectKey) -> bytes:
         try:
@@ -226,9 +228,6 @@ class StoreServer:
     def start(self) -> None:
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
 
     def stop(self) -> None:
         self._httpd.shutdown()

@@ -168,6 +168,29 @@ class TestClientSessions:
         result = octv("client", "sessions", "--wallet", str(tmp_path / "none.txt"))
         assert result.returncode == 1
 
+    def test_torn_last_line_skipped_file_untouched(self, pipeline_dir):
+        store_dir, pipeline = pipeline_dir
+        wallet_path = store_dir / "wallet.txt"
+        line = wallet_path.read_text().splitlines()[1]
+        with open(wallet_path, "a", encoding="utf-8") as fh:
+            fh.write(line[: len(line) // 2])  # a crash mid-append: no newline
+        before = wallet_path.read_bytes()
+        result = octv("client", "sessions", "--wallet", str(wallet_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count("seq") == len(pipeline.wallet.records)
+        assert wallet_path.read_bytes() == before
+
+    def test_non_utf8_byte_is_wallet_error(self, pipeline_dir):
+        store_dir, _ = pipeline_dir
+        wallet_path = store_dir / "wallet.txt"
+        lines = wallet_path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:20] + b"\xff" + lines[2][21:]
+        wallet_path.write_bytes(b"\n".join(lines))
+        result = octv("client", "sessions", "--wallet", str(wallet_path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: WalletError: ")
+        assert "line 3" in result.stderr and "Traceback" not in result.stderr
+
 
 class TestClientFetch:
     def test_fetch_decrypts_to_source_bytes(self, pipeline_dir, tmp_path):

@@ -1,10 +1,13 @@
+import random
 import secrets
 
 import pytest
 
 from harness import make_descriptor, run_pipeline
+from octv import cli
 from octv.client import (
     GapRule,
+    Listener,
     Wallet,
     WalletRecord,
     export_wallet,
@@ -12,10 +15,34 @@ from octv.client import (
     group_sessions,
     import_wallet,
 )
-from octv.crypto import ChainStatus, ChunkToken, encrypt_segment, generate_key, generate_video_id
-from octv.errors import IntegrityError, NotFoundError, WalletError
-from octv.protocol import Coordinates, KeyPacket, Mode
+from octv.clocks import SimClock
+from octv.crypto import (
+    ZERO_HASH_PREFIX,
+    ChainStatus,
+    ChunkToken,
+    encrypt_segment,
+    generate_key,
+    generate_video_id,
+    hash_prefix,
+    verify_chain,
+)
+from octv.errors import IntegrityError, NoSuchCharacteristicError, NotFoundError, WalletError
+from octv.protocol import (
+    CHAR_KEY_PACKET,
+    CHAR_LOCATION,
+    CHAR_NAME,
+    CHAR_URL_FORMAT,
+    DESCRIPTOR_CHARS,
+    Beacon,
+    Coordinates,
+    KeyPacket,
+    Mode,
+    encode_advertisement,
+    encode_characteristic,
+    encode_key_packet,
+)
 from octv.store import LocalStoreFetcher, MemoryObjectStore, ObjectKey
+from octv.transport import SimTransport
 
 
 def make_record(
@@ -84,7 +111,7 @@ class TestWalletPersistence:
 
         reopened = Wallet(path)
         assert reopened.tokens_for(video_id) == [token]
-        assert reopened.records[0].tokens == [token]
+        assert reopened.tokens_for(reopened.records[0].packet.video_id) == [token]
 
     def test_tokens_before_record(self):
         wallet = Wallet()
@@ -93,7 +120,7 @@ class TestWalletPersistence:
         wallet.add_token(token, 1.0)
         record = make_record(video_id=video_id)
         wallet.ingest(record)
-        assert wallet.records[0].tokens == [token]
+        assert wallet.tokens_for(wallet.records[0].packet.video_id) == [token]
 
     def test_corrupt_line_names_line_number(self, tmp_path):
         path = tmp_path / "wallet.txt"
@@ -207,6 +234,22 @@ class TestExportImport:
         with pytest.raises(WalletError, match="line 2"):
             import_wallet(out)
 
+    def test_import_skips_torn_tail_without_writing(self, tmp_path):
+        out = tmp_path / "export.txt"
+        wallet = Wallet()
+        kept = make_record(seq=0)
+        wallet.ingest(kept)
+        wallet.add_token(ChunkToken(bytes(16), 0, kept.packet.video_id), 0.5)
+        export_wallet(wallet, None, out)
+        line = out.read_text().splitlines()[1]
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(line[: len(line) // 2])  # a crash mid-append: no newline
+        before = out.read_bytes()
+        imported = import_wallet(out)
+        assert [r.packet for r in imported.records] == [kept.packet]
+        assert imported.token_receipts() == wallet.token_receipts()
+        assert out.read_bytes() == before
+
 
 class TestSessions:
     def test_steady_packets_one_session(self):
@@ -280,6 +323,119 @@ class TestSessions:
         wallet.ingest(make_record(received_at=80.0, seq=1, reconnect_interval_s=10))
         tight = GapRule(ri_multiplier=2.0, min_gap_s=30.0)
         assert len(group_sessions(wallet, tight)) == 2
+
+
+def brute_successor(wallet, record):
+    """``Wallet.successor_of`` as a scan of every record in the wallet."""
+    want_seq = (record.packet.seq + 1) % 256
+    latest = record.received_at + 2 * record.packet.reconnect_interval_s
+    candidates = [
+        r
+        for r in wallet.records
+        if r.camera_address == record.camera_address
+        and r.packet.seq == want_seq
+        and record.received_at <= r.received_at <= latest
+    ]
+    return min(candidates, key=lambda r: r.received_at) if candidates else None
+
+
+def brute_camera_records(wallet, key):
+    """Each camera's records, by a scan of every record, sorted by ``key``."""
+    return [
+        (address, sorted((r for r in wallet.records if r.camera_address == address), key=key))
+        for address in sorted({r.camera_address for r in wallet.records})
+    ]
+
+
+def interleaved_wallet(tmp_path):
+    """Three cameras ingested in shuffled order, with their stored segments.
+
+    Camera A wraps its seq and is revisited one lap later, camera B sits
+    within merge range of A and has two packets with one seq at one time,
+    camera C is far away. One object is tampered, one is not stored and
+    one segment's successor is not held.
+    """
+    cameras = [
+        (b"\xca" + bytes(5), Coordinates(50.0, 0.0), [(t * 10.0, (250 + t) % 256) for t in range(12)]
+         + [(2560.0 + t * 10.0, (250 + t) % 256) for t in range(4)]),
+        (b"\xcb" + bytes(5), Coordinates(50.0001, 0.0),
+         [(5.0, 7), (15.0, 8), (15.0, 8), (25.0, 9), (200.0, 10), (215.0, 11)]),
+        (b"\xcc" + bytes(5), Coordinates(51.0, 0.0),
+         [(t * 10.0 + 3.0, t) for t in range(8) if t != 5]),
+    ]
+    records, objects = [], {}
+    for address, location, timeline in cameras:
+        previous = ZERO_HASH_PREFIX
+        for t, seq in timeline:
+            packet = KeyPacket(generate_key(), seq, 10, generate_video_id(), previous)
+            record = WalletRecord(t, address, make_descriptor(name="cam", location=location), packet)
+            container = encrypt_segment(f"segment {t} {seq}".encode(), packet.key)
+            previous = hash_prefix(container)
+            objects[packet.video_id] = container
+            records.append(record)
+    random.Random(5).shuffle(records)
+    tampered, withheld = records[3].packet.video_id, records[8].packet.video_id
+    objects[tampered] = objects[tampered][:-1] + bytes([objects[tampered][-1] ^ 1])
+    del objects[withheld]
+    for video_id, container in objects.items():
+        (tmp_path / ObjectKey(video_id).path).write_bytes(container)
+    wallet = Wallet()
+    for record in records:
+        wallet.ingest(record)
+    export_wallet(wallet, None, tmp_path / "wallet.txt")
+    return import_wallet(tmp_path / "wallet.txt")
+
+
+class TestCameraListing:
+    def test_successor_of_matches_scan(self, tmp_path):
+        wallet = interleaved_wallet(tmp_path)
+        paired = [wallet.successor_of(r) for r in wallet.records]
+        expected = [brute_successor(wallet, r) for r in wallet.records]
+        assert all(a is b for a, b in zip(paired, expected))
+        assert sum(s is not None for s in paired) > len(paired) // 2
+
+    def test_group_sessions_matches_scan(self, tmp_path):
+        wallet = interleaved_wallet(tmp_path)
+        rule = GapRule()
+        expected = []
+        for address, records in brute_camera_records(wallet, lambda r: (r.received_at, r.packet.seq)):
+            runs = [[records[0]]]
+            for record in records[1:]:
+                gap = record.received_at - runs[-1][-1].received_at
+                if gap > rule.threshold(runs[-1][-1].packet.reconnect_interval_s):
+                    runs.append([])
+                runs[-1].append(record)
+            expected += [(run[0].received_at, address, run) for run in runs]
+        expected.sort(key=lambda s: (s[0], s[1]))
+        sessions = group_sessions(wallet)
+        assert [(s.camera_address, s.records) for s in sessions] == [(a, run) for _, a, run in expected]
+        near, far = b"\xca" + bytes(5), b"\xcc" + bytes(5)
+        assert {s.camera_address: s.group_id for s in sessions} == {
+            near: near.hex(), b"\xcb" + bytes(5): near.hex(), far: far.hex()
+        }
+
+    def test_verify_chain_matches_scan(self, tmp_path, capsys):
+        wallet = interleaved_wallet(tmp_path)
+        items, labels, unverified = [], [], []
+        for _, records in brute_camera_records(wallet, lambda r: r.received_at):
+            for record in records:
+                path = tmp_path / ObjectKey(record.packet.video_id).path
+                if not path.exists():
+                    continue
+                successor = brute_successor(wallet, record)
+                if successor is None and record.packet.prev_hash_prefix != ZERO_HASH_PREFIX:
+                    unverified.append(record.packet.video_id)
+                    continue
+                items.append((path.read_bytes(), (successor or record).packet))
+                labels.append(record.packet.video_id)
+        report = verify_chain(items)
+        expected = [f"{v.hex()}: {s.value}" for v, s in zip(labels, report.statuses)]
+        expected += [f"{v.hex()}: unverified (no successor packet held)" for v in unverified]
+        assert cli.main(["verify-chain", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[: len(expected)] == expected
+        assert {ChainStatus.OK, ChainStatus.MISMATCH} <= set(report.statuses)
+        assert unverified
 
 
 class TestSuccessor:
@@ -407,3 +563,39 @@ class TestListenerBehaviour:
         assert record.descriptor.name == "lobby"
         assert record.descriptor.url_template == "https://files.example/{id}.mp4"
         assert isinstance(record.descriptor.location, Coordinates)
+
+    @pytest.mark.parametrize("suffix, value", [
+        (CHAR_NAME, b"x" * 65),
+        (CHAR_NAME, b""),
+        (CHAR_LOCATION, b"\x01" + b"x" * 257),
+        (CHAR_URL_FORMAT, b"http://[{id}.mp4"),
+        (CHAR_URL_FORMAT, b"https://x.example/" + b"a" * 70000 + b"/{id}.mp4"),
+        (CHAR_NAME, None),  # not served at all
+    ], ids=["long-name", "empty-name", "long-location", "bad-url", "huge-url", "name-not-served"])
+    def test_hostile_camera_does_not_stop_listener(self, tmp_path, suffix, value):
+        clock = SimClock(0.0)
+        transport = SimTransport(clock=clock)
+        wallet = Wallet(tmp_path / "wallet.txt")
+        Listener(wallet, transport.join("listener"), clock)
+
+        def camera(values):
+            peer = transport.join("camera")
+
+            def serve(which):
+                if values.get(which) is None:
+                    raise NoSuchCharacteristicError(f"characteristic {which:#06x} not served")
+                return values[which]
+
+            peer.serve_characteristics(serve)
+            return peer
+
+        packet = make_record().packet
+        good = {which: encode_characteristic(make_descriptor(), which) for which in DESCRIPTOR_CHARS}
+        good[CHAR_KEY_PACKET] = encode_key_packet(packet)
+        hostile = camera({**good, suffix: value})
+        hostile.advertise(encode_advertisement(Beacon(bytes(8), 1)))
+        assert wallet.records == []
+        clock.advance_to(1.0)
+        camera(good).advertise(encode_advertisement(Beacon(bytes(8), 1)))
+        assert [r.packet for r in wallet.records] == [packet]
+        wallet.close()

@@ -92,6 +92,28 @@ class TestFsStore:
         for i in range(100):
             assert hashlib.sha256(store.get(make_key(i))).hexdigest() == digests[i]
 
+    def test_put_write_once_across_stores(self, tmp_path, monkeypatch):
+        first, second = FsObjectStore(tmp_path), FsObjectStore(tmp_path)
+        key = make_key(1)
+        raced = []
+
+        def race(publish):
+            # the second store's put lands after the first's temp write, before its publish
+            def publish_after_second(src, dst):
+                if not raced:
+                    raced.append(True)
+                    second.put(key, b"second")
+                return publish(src, dst)
+            return publish_after_second
+
+        monkeypatch.setattr(os, "link", race(os.link))
+        monkeypatch.setattr(os, "replace", race(os.replace))
+        with pytest.raises(ConflictError):
+            first.put(key, b"first")
+        assert raced
+        assert first.get(key) == second.get(key) == b"second"
+        assert os.listdir(tmp_path) == [key.path]
+
 
 @pytest.fixture
 def server(tmp_path):
