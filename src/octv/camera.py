@@ -274,7 +274,7 @@ class SegmentRecord:
     start_t: float
     end_t: float
     container: bytes
-    state: str  # pending | uploaded | withheld
+    state: str  # pending | uploaded | withheld | evicted
     stream: str = "main"  # main | tier
 
 
@@ -591,6 +591,8 @@ class CameraRuntime:
             oldest = self._withheld_order.pop(0)
             evicted = self._withheld.pop(oldest)
             self._withheld_bytes -= len(evicted.container)
+            evicted.state = "evicted"
+            evicted.container = b""  # the footage is gone, as the event says
             self._emit({"event": "withheld-evicted", "video_id": oldest.hex()})
         self._emit(
             {"event": "withhold", "t": record.end_t, "video_id": record.video_id.hex(),

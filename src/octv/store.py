@@ -3,18 +3,22 @@
 Objects are addressed by ``<16-hex video id>.<mp4|jpg>`` exactly as the
 broadcast URL template names them, and are immutable once written. The
 server never inspects or logs payload contents beyond their length; its
-request log holds method, path, status and size only.
+request log holds method, path, status and size only. Clients keep their
+HTTP/1.1 connections open in one small pool shared by every request.
 """
 
+import http.client
 import os
 import re
 import secrets
+import socket
+import ssl
 import threading
-import time
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from .errors import ConflictError, NotFoundError, OctvError, ProtocolError
 
@@ -122,20 +126,15 @@ class FsObjectStore:
                 keys.append(ObjectKey.from_path(name))
         return keys
 
-    def sweep(self, max_age_s: float, now: float | None = None) -> int:
-        """Delete objects older than ``max_age_s``. Returns count removed."""
-        now = time.time() if now is None else now
-        removed = 0
-        for key in self.keys():
-            path = self._file(key)
-            if now - os.path.getmtime(path) > max_age_s:
-                os.unlink(path)
-                removed += 1
-        return removed
-
 
 class _StoreHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # a connection idle this long is closed, so a vanished client cannot hold its thread
+    timeout = 30.0
+    # a reply is buffered and flushed once, with Nagle's algorithm off: sent as headers
+    # then body, the body waited for the client's delayed ACK (~40 ms per keep-alive GET)
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     def _log(self, method: str, status: int, length: int) -> None:
         self.server.request_log.append(f"{method} {self.path} {status} {length}")
@@ -143,7 +142,14 @@ class _StoreHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # silence default stderr chatter
         pass
 
+    def _close_if_body(self) -> None:
+        # a GET or HEAD body is never read: kept open, the connection would parse it
+        # as the next request
+        if self.headers.get("Content-Length", "0") != "0" or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+
     def do_GET(self):
+        self._close_if_body()
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
         except ProtocolError:
@@ -159,18 +165,17 @@ class _StoreHandler(BaseHTTPRequestHandler):
     def do_PUT(self):
         # operator writes are restricted to loopback connections
         if self.client_address[0] not in ("127.0.0.1", "::1"):
-            self._reply("PUT", 403, b"uploads restricted to operator loopback\n")
+            self._refuse(403, b"uploads restricted to operator loopback\n")
             return
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
         except ProtocolError:
-            self._reply("PUT", 400, b"bad request\n")
+            self._refuse(400, b"bad request\n")
             return
         raw_length = self.headers.get("Content-Length")
         if raw_length is None or not (raw_length.isascii() and raw_length.isdigit()):
             status = 411 if raw_length is None else 400
-            self.close_connection = True  # an unread body must not parse as the next request
-            self._reply("PUT", status, b"Content-Length must be a decimal byte count\n")
+            self._refuse(status, b"Content-Length must be a decimal byte count\n")
             return
         length = int(raw_length)
         data = self.rfile.read(length)
@@ -182,6 +187,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self._reply("PUT", 201, b"created\n", length)
 
     def do_HEAD(self):
+        self._close_if_body()
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
         except ProtocolError:
@@ -192,6 +198,11 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Length", "0")
         self.end_headers()
+
+    def _refuse(self, status: int, body: bytes) -> None:
+        # the body stays unread: kept open, the connection would parse it as the next request
+        self.close_connection = True
+        self._reply("PUT", status, body)
 
     def _reply(self, method: str, status: int, body: bytes, logged_length: int = 0,
                content_type: str = "text/plain"):
@@ -204,13 +215,42 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+class _StoreHTTPServer(ThreadingHTTPServer):
+    """Threaded HTTP server that keeps hold of its open connections."""
+
+    def __init__(self, address, store):
+        super().__init__(address, _StoreHandler)
+        self.store = store
+        self.request_log = []
+        self._connections = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection; its handler thread then sees end of stream."""
+        with self._connections_lock:
+            open_now = list(self._connections)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
+
+
 class StoreServer:
     """Minimal HTTP front for an object store."""
 
     def __init__(self, store, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = ThreadingHTTPServer((host, port), _StoreHandler)
-        self._httpd.store = store
-        self._httpd.request_log = []
+        self._httpd = _StoreHTTPServer((host, port), store)
         self._thread = None
 
     @property
@@ -232,8 +272,103 @@ class StoreServer:
     def stop(self) -> None:
         self._httpd.shutdown()
         self._httpd.server_close()
+        # kept-alive connections outlive the listening socket unless ended here
+        self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
+
+
+# a reused connection that fails this way was closed by the server while idle
+_IDLE_DROPPED = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+class _ConnectionPool:
+    """Keep-alive HTTP/1.1 connections shared by every http(s) request.
+
+    Idle connections are kept per origin (scheme, host, port): at most
+    ``PER_ORIGIN`` of them, for the ``ORIGINS`` origins used most
+    recently. A reused connection that the server dropped while it sat
+    idle is replaced by a fresh one, once. Redirects are not followed and
+    proxy variables are not read.
+    """
+
+    ORIGINS = 8
+    PER_ORIGIN = 4
+
+    def __init__(self):
+        self._idle: OrderedDict[tuple, list] = OrderedDict()
+        self._lock = threading.Lock()
+        self._tls = None
+
+    def request(self, method: str, url: str, body: bytes | None = None,
+                timeout: float = 5.0) -> tuple[int, bytes]:
+        """Send one request; returns the status and the body read whole."""
+        parts = urlsplit(url)
+        origin = (parts.scheme, parts.hostname, parts.port)
+        target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        conn = self._take(origin)
+        try:
+            response = None
+            if conn is not None:
+                try:
+                    response = self._start(conn, method, target, body, timeout)
+                except _IDLE_DROPPED:
+                    conn.close()
+            if response is None:
+                conn = self._connect(origin, timeout)
+                response = self._start(conn, method, target, body, timeout)
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            if conn is not None:
+                conn.close()
+            raise OctvError(f"{method} {url} failed: {exc!r}") from None
+        if response.will_close:
+            conn.close()
+        else:
+            self._give(origin, conn)
+        return response.status, data
+
+    @staticmethod
+    def _start(conn, method, target, body, timeout) -> http.client.HTTPResponse:
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        conn.request(method, target, body=body)
+        return conn.getresponse()
+
+    def _connect(self, origin, timeout) -> http.client.HTTPConnection:
+        scheme, host, port = origin
+        if scheme == "https":
+            if self._tls is None:
+                self._tls = ssl.create_default_context()  # verifies certificate and host name
+            return http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
+        return http.client.HTTPConnection(host, port, timeout=timeout)
+
+    def _take(self, origin):
+        with self._lock:
+            idle = self._idle.get(origin)
+            if idle:
+                self._idle.move_to_end(origin)
+                return idle.pop()
+        return None
+
+    def _give(self, origin, conn) -> None:
+        with self._lock:
+            idle = self._idle.setdefault(origin, [])
+            self._idle.move_to_end(origin)
+            dropped = []
+            if len(idle) < self.PER_ORIGIN:
+                idle.append(conn)
+            else:
+                dropped.append(conn)
+            while len(self._idle) > self.ORIGINS:
+                dropped += self._idle.popitem(last=False)[1]
+        for conn in dropped:
+            conn.close()
+
+
+# one per process: ``fetch_url`` is a plain function that fetchers pass around
+_POOL = _ConnectionPool()
 
 
 class HttpStoreClient:
@@ -247,31 +382,22 @@ class HttpStoreClient:
         return f"{self.base_url}/{key.path}"
 
     def put(self, key: ObjectKey, data: bytes) -> None:
-        request = urllib.request.Request(self._url(key), data=data, method="PUT")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                response.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code == 409:
-                raise ConflictError(f"object {key.path} already exists") from None
-            raise OctvError(f"upload failed with status {exc.code}") from None
-        except urllib.error.URLError as exc:
-            raise OctvError(f"store unreachable: {exc.reason}") from None
+        status, _ = _POOL.request("PUT", self._url(key), data, self.timeout)
+        if status == 409:
+            raise ConflictError(f"object {key.path} already exists")
+        if not 200 <= status < 300:
+            raise OctvError(f"upload failed with status {status}")
 
     def get(self, key: ObjectKey) -> bytes:
         return fetch_url(self._url(key), timeout=self.timeout)
 
     def contains(self, key: ObjectKey) -> bool:
-        request = urllib.request.Request(self._url(key), method="HEAD")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout):
-                return True
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                return False
-            raise OctvError(f"store returned status {exc.code}") from None
-        except urllib.error.URLError as exc:
-            raise OctvError(f"store unreachable: {exc.reason}") from None
+        status, _ = _POOL.request("HEAD", self._url(key), timeout=self.timeout)
+        if status == 404:
+            return False
+        if not 200 <= status < 300:
+            raise OctvError(f"store returned status {status}")
+        return True
 
 
 def open_store(target: str):
@@ -282,21 +408,24 @@ def open_store(target: str):
 
 
 def fetch_url(url: str, timeout: float = 5.0) -> bytes:
-    """GET a footage URL (http, https or file scheme)."""
+    """GET a footage URL (http, https or file scheme); http(s) reuses pooled connections."""
     scheme = urlsplit(url).scheme
-    if scheme not in ("http", "https", "file"):
+    if scheme == "file":
+        try:
+            with urllib.request.urlopen(url, timeout=timeout) as response:
+                return response.read()
+        except urllib.error.URLError as exc:
+            if isinstance(exc.reason, FileNotFoundError):
+                raise NotFoundError(f"footage not found at {url}") from None
+            raise OctvError(f"fetch failed: {exc.reason}") from None
+    if scheme not in ("http", "https"):
         raise ProtocolError(f"unsupported URL scheme {scheme!r}")
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.read()
-    except urllib.error.HTTPError as exc:
-        if exc.code == 404:
-            raise NotFoundError(f"footage not found at {url}") from None
-        raise OctvError(f"fetch failed with status {exc.code}") from None
-    except urllib.error.URLError as exc:
-        if isinstance(exc.reason, FileNotFoundError):
-            raise NotFoundError(f"footage not found at {url}") from None
-        raise OctvError(f"fetch failed: {exc.reason}") from None
+    status, data = _POOL.request("GET", url, timeout=timeout)
+    if status == 404:
+        raise NotFoundError(f"footage not found at {url}")
+    if status != 200:
+        raise OctvError(f"fetch failed with status {status}")
+    return data
 
 
 class LocalStoreFetcher:

@@ -279,6 +279,11 @@ _FRAME_ADV = 0x41
 _FRAME_QUERY = 0x51
 _FRAME_VALUE = 0x56
 
+# A change made in the same timestamp tick as the last one leaves the bus
+# directory's mtime as it was, so a registry read within this long of that
+# mtime is not trusted (git's "racy clean" rule; 2 s is FAT's tick).
+_RACY_NS = 2_000_000_000
+
 
 class UdpBusPeer:
     """Peer on a loopback datagram bus registered via a shared directory."""
@@ -294,15 +299,31 @@ class UdpBusPeer:
         self._advert_queue: list[tuple[bytes, bytes]] = []
         self._dispatching = False
         self._next_query_id = 0
+        self._peers: dict[bytes, int] = {}
+        self._peers_mtime_ns = None  # bus directory mtime when ``_peers`` was read
+        self._peers_read_ns = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(("127.0.0.1", 0))
         self.port = self._sock.getsockname()[1]
         os.makedirs(self.bus_dir, exist_ok=True)
         self._registry_path = os.path.join(self.bus_dir, f"{self.address.hex()}.peer")
-        with open(self._registry_path, "w", encoding="ascii") as fh:
+        # renamed into place whole, so a peer never lists it before its port is written
+        staging = os.path.join(self.bus_dir, f"{self.address.hex()}.tmp")
+        with open(staging, "w", encoding="ascii") as fh:
             fh.write(f"{self.port} {self.kind}\n")
+        os.replace(staging, self._registry_path)
 
-    def _registry(self) -> dict[bytes, int]:
+    def _registry(self, refresh: bool = False) -> dict[bytes, int]:
+        """Other peers' ports, re-read only when the bus directory has changed."""
+        read_ns = time.time_ns()
+        mtime_ns = os.stat(self.bus_dir).st_mtime_ns
+        if (refresh or mtime_ns != self._peers_mtime_ns
+                or mtime_ns > self._peers_read_ns - _RACY_NS):
+            self._peers = self._read_registry()
+            self._peers_mtime_ns, self._peers_read_ns = mtime_ns, read_ns
+        return self._peers
+
+    def _read_registry(self) -> dict[bytes, int]:
         peers = {}
         for name in sorted(os.listdir(self.bus_dir)):
             if not name.endswith(".peer"):
@@ -334,6 +355,8 @@ class UdpBusPeer:
 
     def read_characteristic(self, target_address: bytes, suffix: int) -> bytes:
         port = self._registry().get(target_address)
+        if port is None:
+            port = self._registry(refresh=True).get(target_address)
         if port is None:
             raise UnreachableError(f"no peer registered at {target_address.hex()}")
         query_id = self._next_query_id

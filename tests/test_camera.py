@@ -213,6 +213,20 @@ class TestManualMode:
         events = [e["event"] for e in pipeline.events]
         assert "withheld-evicted" in events
 
+    def test_evicted_ciphertext_is_dropped(self):
+        budget = 4096
+        pipeline = run_pipeline(segments=200, mode=Mode.MANUAL, run=False, rate=1000)
+        pipeline.config.withheld_budget_bytes = budget
+        camera = pipeline.camera
+        for t in range(1, 401):
+            camera.advance_to(float(t))
+            assert sum(len(r.container) for r in camera.records) <= budget
+        assert len(camera.records) == 200
+        evicted = [r for r in camera.records if r.state == "evicted"]
+        assert len(evicted) == 198
+        assert all(r.container == b"" for r in evicted)
+        assert sum(e["event"] == "withheld-evicted" for e in pipeline.events) == 198
+
 
 class TestDelayedMode:
     def test_upload_at_boundary_plus_delay(self):

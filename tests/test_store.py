@@ -2,11 +2,19 @@ import hashlib
 import http.client
 import os
 import secrets
+import socket
+import ssl
+import statistics
+import threading
+import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from octv.errors import ConflictError, NotFoundError, ProtocolError
+from octv import store as store_module
+from octv.errors import ConflictError, NotFoundError, OctvError, ProtocolError
 from octv.store import (
     FsObjectStore,
     HttpStoreClient,
@@ -69,18 +77,6 @@ class TestFsStore:
         store = FsObjectStore(tmp_path / "objects")
         store.put(ObjectKey(bytes.fromhex("0102030405060708")), b"data")
         assert (tmp_path / "objects" / "0102030405060708.mp4").read_bytes() == b"data"
-
-    def test_sweep_removes_old_objects(self, tmp_path):
-        store = FsObjectStore(tmp_path / "objects")
-        store.put(make_key(1), b"old")
-        old_path = tmp_path / "objects" / make_key(1).path
-        past = os.path.getmtime(old_path) - 1000
-        os.utime(old_path, (past, past))
-        store.put(make_key(2), b"new")
-        removed = store.sweep(max_age_s=500)
-        assert removed == 1
-        assert not store.contains(make_key(1))
-        assert store.contains(make_key(2))
 
     def test_content_fidelity_hundred_objects(self, tmp_path):
         store = FsObjectStore(tmp_path / "objects")
@@ -217,3 +213,197 @@ class TestFetchers:
     def test_open_store_dispatch(self, tmp_path):
         assert isinstance(open_store(str(tmp_path / "x")), FsObjectStore)
         assert isinstance(open_store("http://127.0.0.1:1/"), HttpStoreClient)
+
+
+def closed_port() -> int:
+    """A loopback port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """A fresh connection pool for one test, so other tests' servers do not count."""
+    fresh = store_module._ConnectionPool()
+    monkeypatch.setattr(store_module, "_POOL", fresh)
+    yield fresh
+    for idle in fresh._idle.values():
+        for conn in idle:
+            conn.close()
+
+
+class _FixedStatusHandler(BaseHTTPRequestHandler):
+    """Answers /<status>/... with that status and a Location of /200/<rest>."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def _answer(self):
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.server.paths.append(self.path)
+        _, status, rest = self.path.split("/", 2)
+        self.send_response(int(status))
+        self.send_header("Location", f"/200/{rest}")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_PUT = do_HEAD = _answer
+
+
+@pytest.fixture(scope="module")
+def fixed_status():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _FixedStatusHandler)
+    httpd.daemon_threads = True
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+
+
+class TestPooledConnections:
+    def test_keep_alive_get_is_fast(self, server):
+        server, store = server
+        store.put(make_key(1), secrets.token_bytes(32 * 1024))
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            took = []
+            for _ in range(10):
+                began = time.perf_counter()
+                conn.request("GET", f"/{make_key(1).path}")
+                response = conn.getresponse()
+                assert len(response.read()) == 32 * 1024
+                took.append(time.perf_counter() - began)
+        finally:
+            conn.close()
+        assert statistics.median(took) < 0.010
+
+    def test_requests_share_one_connection(self, server, pool):
+        server, store = server
+        store.put(make_key(1), b"footage")
+        client = HttpStoreClient(server.base_url())
+        client.put(make_key(2), b"more")
+        assert client.contains(make_key(2))
+        for _ in range(3):
+            assert fetch_url(f"{server.base_url()}/{make_key(1).path}") == b"footage"
+            assert client.get(make_key(2)) == b"more"
+        assert len(server._httpd._connections) == 1
+        assert [len(idle) for idle in pool._idle.values()] == [1]
+
+    def test_fetch_after_stop_is_error(self):
+        store = MemoryObjectStore()
+        store.put(make_key(1), b"hi")
+        server = StoreServer(store)
+        server.start()
+        url = f"{server.base_url()}/{make_key(1).path}"
+        assert fetch_url(url) == b"hi"
+        server.stop()
+        with pytest.raises(OctvError) as excinfo:
+            fetch_url(url)
+        assert not isinstance(excinfo.value, NotFoundError)
+
+    def test_idle_timeout_then_reconnect(self, server, pool, monkeypatch):
+        monkeypatch.setattr(store_module._StoreHandler, "timeout", 0.2)
+        server, store = server
+        store.put(make_key(1), b"hi")
+        url = f"{server.base_url()}/{make_key(1).path}"
+        connects = []
+        connect = pool._connect
+        monkeypatch.setattr(pool, "_connect", lambda *a: connects.append(a) or connect(*a))
+        assert fetch_url(url) == b"hi"
+        deadline = time.monotonic() + 5
+        while server._httpd._connections and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not server._httpd._connections  # the server closed the idle connection
+        assert fetch_url(url) == b"hi"
+        assert len(connects) == 2
+
+    def test_pool_stays_bounded(self, pool):
+        servers = [StoreServer(MemoryObjectStore()) for _ in range(50)]
+        for server in servers:
+            server.start()
+            with pytest.raises(NotFoundError):
+                fetch_url(f"{server.base_url()}/{make_key(1).path}")
+        with ThreadPoolExecutor(max_workers=10) as stopping:
+            list(stopping.map(StoreServer.stop, servers))
+        assert len(pool._idle) == pool.ORIGINS
+        assert all(len(idle) <= pool.PER_ORIGIN for idle in pool._idle.values())
+        kept = {port for _, _, port in pool._idle}
+        assert kept == {server.port for server in servers[-pool.ORIGINS:]}
+
+    def test_https_verifies_certificates(self, pool):
+        conn = pool._connect(("https", "files.example", None), 1.0)
+        assert isinstance(conn, http.client.HTTPSConnection)
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
+        assert conn._context.check_hostname
+
+
+class TestErrorMapping:
+    def test_not_found(self, server):
+        server, _ = server
+        client = HttpStoreClient(server.base_url())
+        with pytest.raises(NotFoundError):
+            client.get(make_key(1))
+        with pytest.raises(NotFoundError):
+            fetch_url(f"{server.base_url()}/{make_key(1).path}")
+        assert client.contains(make_key(1)) is False
+
+    @pytest.mark.parametrize("call", ["get", "put", "contains", "fetch_url"])
+    def test_unreachable(self, call):
+        base = f"http://127.0.0.1:{closed_port()}"
+        client = HttpStoreClient(base, timeout=2.0)
+        calls = {
+            "get": lambda: client.get(make_key(1)),
+            "put": lambda: client.put(make_key(1), b"data"),
+            "contains": lambda: client.contains(make_key(1)),
+            "fetch_url": lambda: fetch_url(f"{base}/{make_key(1).path}"),
+        }
+        with pytest.raises(OctvError) as excinfo:
+            calls[call]()
+        assert type(excinfo.value) is OctvError
+
+    @pytest.mark.parametrize("status", [302, 307, 500])
+    @pytest.mark.parametrize("call", ["get", "put", "contains", "fetch_url"])
+    def test_other_status_is_error_and_redirects_are_not_followed(
+            self, fixed_status, status, call):
+        fixed_status.paths = []
+        base = f"http://127.0.0.1:{fixed_status.server_address[1]}/{status}"
+        client = HttpStoreClient(base)
+        calls = {
+            "get": lambda: client.get(make_key(1)),
+            "put": lambda: client.put(make_key(1), b"data"),
+            "contains": lambda: client.contains(make_key(1)),
+            "fetch_url": lambda: fetch_url(f"{base}/{make_key(1).path}"),
+        }
+        with pytest.raises(OctvError) as excinfo:
+            calls[call]()
+        assert type(excinfo.value) is OctvError
+        assert fixed_status.paths == [f"/{status}/{make_key(1).path}"]  # Location not followed
+
+
+INNER_PUT = (f"PUT /{make_key(0xFF).path} HTTP/1.1\r\nHost: store\r\n"
+             "Content-Length: 4\r\n\r\nevil").encode()
+
+
+class TestRequestSmuggling:
+    @pytest.mark.parametrize("outer, status", [
+        ("PUT /not-a-key HTTP/1.1", 400),
+        (f"GET /{make_key(1).path} HTTP/1.1", 404),
+        (f"HEAD /{make_key(1).path} HTTP/1.1", 404),
+    ])
+    def test_unread_body_is_not_a_request(self, server, outer, status):
+        """A body the store does not read must not run as a second request."""
+        server, store = server
+        head = f"{outer}\r\nHost: store\r\nContent-Length: {len(INNER_PUT)}\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(head.encode() + INNER_PUT)
+            replies = b""
+            while chunk := sock.recv(65536):  # the store closes the connection
+                replies += chunk
+        assert replies.startswith(f"HTTP/1.1 {status} ".encode())
+        assert replies.count(b"HTTP/1.1 ") == 1
+        assert store.keys() == []
+        assert len(server.request_log) == 1

@@ -1,5 +1,10 @@
+import os
+import threading
+import time
+
 import pytest
 
+from octv import transport as transport_module
 from octv.clocks import SimClock
 from octv.errors import NoSuchCharacteristicError, ProtocolError, UnreachableError
 from octv.transport import RangeModel, SimTransport, UdpBusPeer
@@ -326,3 +331,100 @@ class TestUdpBus:
                 listener.read_characteristic(b"\x00" * 6, 0x0011)
         finally:
             listener.close()
+
+
+class TestUdpBusRegistry:
+    """The registry is cached and re-read when the bus directory changes."""
+
+    @pytest.fixture
+    def bus(self, tmp_path):
+        peers = []
+
+        def join(kind="listener"):
+            peers.append(UdpBusPeer(tmp_path / "bus", kind))
+            return peers[-1]
+
+        yield tmp_path / "bus", join
+        for peer in peers:
+            peer.close()
+
+    @staticmethod
+    def next_tick():
+        # so that the next change moves the directory's mtime on a coarse clock
+        time.sleep(0.05)
+
+    def test_unchanged_directory_is_not_listed_again(self, bus, monkeypatch):
+        monkeypatch.setattr(transport_module, "_RACY_NS", 0)
+        path, join = bus
+        camera, listener = join("camera"), join()
+        self.next_tick()
+        camera.advertise(b"first")
+        listings = []
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda p: listings.append(p) or listdir(p))
+        camera.advertise(b"second")
+        camera.advertise(b"third")
+        assert listings == []
+        received, cb = collector()
+        listener.on_advertisement(cb)
+        listener.pump(timeout=0.5)
+        assert [payload for _, payload, _ in received] == [b"first", b"second", b"third"]
+
+    @pytest.mark.parametrize("racy_ns", [None, 0])
+    def test_peer_joining_and_leaving_after_cached_advert(self, bus, monkeypatch, racy_ns):
+        if racy_ns is not None:
+            monkeypatch.setattr(transport_module, "_RACY_NS", racy_ns)
+        path, join = bus
+        camera = join("camera")
+        self.next_tick()
+        camera.advertise(b"before")
+        self.next_tick()
+        late = join()
+        received, cb = collector()
+        late.on_advertisement(cb)
+        camera.advertise(b"joined")
+        late.pump(timeout=1.0)
+        assert [payload for _, payload, _ in received] == [b"joined"]
+        self.next_tick()
+        os.unlink(path / f"{late.address.hex()}.peer")  # leaves, socket still open
+        camera.advertise(b"left")
+        late.pump(timeout=0.3)
+        assert [payload for _, payload, _ in received] == [b"joined"]
+
+    def test_join_in_the_same_tick_is_not_missed(self, bus):
+        path, join = bus
+        camera = join("camera")
+        camera.advertise(b"before")
+        stamp = os.stat(path).st_mtime_ns
+        late = join()
+        # a filesystem whose timestamps are too coarse to see the join
+        os.utime(path, ns=(stamp, stamp))
+        received, cb = collector()
+        late.on_advertisement(cb)
+        camera.advertise(b"joined")
+        late.pump(timeout=1.0)
+        assert [payload for _, payload, _ in received] == [b"joined"]
+
+    def test_read_refreshes_registry_on_miss(self, bus, monkeypatch):
+        monkeypatch.setattr(transport_module, "_RACY_NS", 0)
+        path, join = bus
+        listener = join()
+        old = os.stat(path).st_mtime_ns - 3_600_000_000_000
+        os.utime(path, ns=(old, old))
+        listener.advertise(b"cached")
+        camera = join("camera")
+        os.utime(path, ns=(old, old))  # the join left no trace in the mtime
+        camera.serve_characteristics(lambda suffix: b"value")
+        done = threading.Event()
+
+        def answer():
+            while not done.is_set():
+                camera.pump(timeout=0.05)
+
+        answering = threading.Thread(target=answer, daemon=True)
+        answering.start()
+        try:
+            assert listener.read_characteristic(camera.address, 0x0011) == b"value"
+        finally:
+            done.set()
+            answering.join()
