@@ -4,10 +4,11 @@ Objects are addressed by ``<16-hex video id>.<mp4|jpg>`` exactly as the
 broadcast URL template names them, and are immutable once written. The
 server never inspects or logs payload contents beyond their length; its
 request log holds method, path, status and size only. Clients keep their
-HTTP/1.1 connections open in one small pool shared by every request.
+HTTP/1.1 connections open in one small pool shared by every request. Both
+ends frame HTTP/1.1 themselves: one header reader, with the stdlib's line
+and count limits, parses request and reply heads alike.
 """
 
-import http.client
 import os
 import re
 import secrets
@@ -127,6 +128,68 @@ class FsObjectStore:
         return keys
 
 
+_MAX_LINE = 65536  # http.client's limits: bytes in one head line,
+_MAX_HEADERS = 100  # and lines in one head, its blank end line counted
+_PIECE = 1 << 20  # bodies are read in pieces this size, so a claimed length allocates nothing
+_FIELD = re.compile(r"([^\s:]+):[ \t]*(.*?)[ \t]*")
+
+
+class _HeadError(ValueError):
+    """A message head that is not parsed; ``status`` is what the store answers."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _read_headers(reader) -> dict[str, str]:
+    """Read header fields up to the blank line; values by lower-cased name.
+
+    The first of a repeated field counts. A repeated Content-Length, a
+    line that is not ``name: value`` (RFC 9112 §5.1 puts no whitespace
+    before the colon) and a head cut short by end of stream are errors.
+    An obs-fold line continues the previous value.
+    """
+    headers = {}
+    last = None
+    for _ in range(_MAX_HEADERS):
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _HeadError(431, "Line too long")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line.endswith(b"\n"):
+            raise _HeadError(400, "Head cut short")
+        text = line.decode("latin-1").rstrip("\r\n")
+        if last is not None and text[:1] in (" ", "\t"):
+            headers[last] = f"{headers[last]} {text.strip()}".lstrip()
+            continue
+        match = _FIELD.fullmatch(text)
+        if match is None:
+            raise _HeadError(400, f"Bad header line ({text[:80]!r})")
+        name = match[1].lower()
+        if name not in headers:
+            headers[name] = match[2]
+            last = name
+        elif name == "content-length":
+            raise _HeadError(400, "Repeated Content-Length")
+        else:
+            last = None
+    raise _HeadError(431, "Too many headers")
+
+
+def _read_body(reader, length: int) -> bytes:
+    """The next ``length`` bytes, fewer only at end of stream."""
+    pieces = []
+    while length > 0:
+        piece = reader.read(min(length, _PIECE))
+        if not piece:
+            break
+        pieces.append(piece)
+        length -= len(piece)
+    return b"".join(pieces)
+
+
 class _StoreHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # a connection idle this long is closed, so a vanished client cannot hold its thread
@@ -142,10 +205,61 @@ class _StoreHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # silence default stderr chatter
         pass
 
+    def parse_request(self) -> bool:
+        """The stdlib's request-line checks; the headers go through ``_read_headers``."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = version[5:].split(".") if version.startswith("HTTP/") else ()
+            # answered with a status line: left at HTTP/0.9, the reply would have none
+            self.request_version = self.protocol_version
+            if len(number) != 2 or not all(n.isascii() and n.isdigit() and len(n) <= 10
+                                           for n in number):
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if int(number[0]) >= 2:
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = (int(number[0]), int(number[1])) < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, self.path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if self.command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({self.command!r})")
+                return False
+        if self.path.startswith("//"):  # gh-87389: never an absolute URI without a scheme
+            self.path = "/" + self.path.lstrip("/")
+        try:
+            self.headers = _read_headers(self.rfile)
+        except _HeadError as err:
+            self.send_error(err.status, str(err))
+            return False
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            if not self.handle_expect_100():
+                return False
+            self.wfile.flush()  # the client holds the body back until it sees this
+        return True
+
     def _close_if_body(self) -> None:
         # a GET or HEAD body is never read: kept open, the connection would parse it
         # as the next request
-        if self.headers.get("Content-Length", "0") != "0" or "Transfer-Encoding" in self.headers:
+        if self.headers.get("content-length", "0") != "0" or "transfer-encoding" in self.headers:
             self.close_connection = True
 
     def do_GET(self):
@@ -172,13 +286,16 @@ class _StoreHandler(BaseHTTPRequestHandler):
         except ProtocolError:
             self._refuse(400, b"bad request\n")
             return
-        raw_length = self.headers.get("Content-Length")
+        raw_length = self.headers.get("content-length")
         if raw_length is None or not (raw_length.isascii() and raw_length.isdigit()):
             status = 411 if raw_length is None else 400
             self._refuse(status, b"Content-Length must be a decimal byte count\n")
             return
         length = int(raw_length)
-        data = self.rfile.read(length)
+        data = _read_body(self.rfile, length)
+        if len(data) < length:  # the client went away mid-upload: store nothing
+            self._refuse(400, b"body shorter than Content-Length\n")
+            return
         try:
             self.server.store.put(key, data)
         except ConflictError:
@@ -270,16 +387,119 @@ class StoreServer:
         self._thread.start()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            try:  # wakes serve_forever's poll now; shutdown() alone waits out its 0.5 s
+                self._httpd.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:  # a platform that cannot shut a listening socket
+                pass
+            self._httpd.shutdown()
         self._httpd.server_close()
         # kept-alive connections outlive the listening socket unless ended here
         self._httpd.close_connections()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        if thread is not None:
+            thread.join(timeout=5)
 
 
-# a reused connection that fails this way was closed by the server while idle
-_IDLE_DROPPED = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+class _Dropped(ConnectionError):
+    """The server closed the connection before a byte of its reply."""
+
+
+_ONE_SEND = 64 * 1024  # a body up to this size goes out with its head in one send
+_BAD_TARGET = re.compile(r"[^\x21-\x7e]")
+
+
+class _Connection:
+    """One HTTP/1.1 client connection: a socket and its buffered reader."""
+
+    def __init__(self, origin: tuple, timeout: float, tls: ssl.SSLContext | None):
+        _, host, port = origin
+        sock = socket.create_connection((host, port or (443 if tls else 80)), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tls is not None:
+                sock = tls.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+        name = host if host.isascii() else host.encode("idna").decode()
+        name = f"[{name}]" if ":" in name else name
+        self.host = name if port is None else f"{name}:{port}"
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def exchange(self, method: str, target: str, body: bytes | None,
+                 timeout: float) -> tuple[int, bytes, bool]:
+        """Send one request and read its reply whole.
+
+        Returns the status, the body, and whether the connection can carry
+        another request. Raises ``_Dropped`` if the server had closed it.
+        """
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self.host}\r\nAccept-Encoding: identity\r\n"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        head = (head + "\r\n").encode("ascii")
+        self.sock.settimeout(timeout)
+        try:
+            if body is not None and len(body) <= _ONE_SEND:
+                self.sock.sendall(head + body)
+            else:
+                self.sock.sendall(head)
+                if body:
+                    self.sock.sendall(body)
+            line = self.reader.readline(_MAX_LINE + 1)
+        except (ConnectionResetError, BrokenPipeError) as exc:
+            raise _Dropped(str(exc)) from None
+        if not line:
+            raise _Dropped("closed before the status line")
+        while True:
+            parts = line.split(None, 2)
+            if (len(line) > _MAX_LINE or len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
+                    or len(parts[1]) != 3 or not parts[1].isdigit()):
+                raise ValueError(f"bad status line {line[:80]!r}")
+            status = int(parts[1])
+            headers = _read_headers(self.reader)
+            if not 100 <= status < 200:
+                break
+            line = self.reader.readline(_MAX_LINE + 1)  # after an interim reply, the real one
+        connection = headers.get("connection", "").lower()
+        if parts[0] == b"HTTP/1.0":
+            reusable = "keep-alive" in connection
+        else:
+            reusable = "close" not in connection
+        if method == "HEAD" or status in (204, 304):
+            return status, b"", reusable
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            return status, self._read_chunked(), reusable
+        length = headers.get("content-length")
+        if length is None:
+            return status, self.reader.read(), False  # the body ends where the connection does
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"bad Content-Length {length[:80]!r}")
+        data = _read_body(self.reader, int(length))
+        if len(data) < int(length):
+            raise ValueError(f"body cut short at {len(data)} of {length} bytes")
+        return status, data, reusable
+
+    def _read_chunked(self) -> bytes:
+        pieces = []
+        while True:
+            line = self.reader.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise ValueError("chunk size line too long")
+            size = int(line.split(b";", 1)[0], 16)  # not a hex size: ValueError
+            if size <= 0:
+                if size < 0:
+                    raise ValueError(f"negative chunk size {size}")
+                _read_headers(self.reader)  # the trailer, not used
+                return b"".join(pieces)
+            pieces.append(_read_body(self.reader, size))
+            if len(pieces[-1]) < size or self.reader.readline(3) not in (b"\r\n", b"\n"):
+                raise ValueError("chunk cut short")
 
 
 class _ConnectionPool:
@@ -303,46 +523,40 @@ class _ConnectionPool:
     def request(self, method: str, url: str, body: bytes | None = None,
                 timeout: float = 5.0) -> tuple[int, bytes]:
         """Send one request; returns the status and the body read whole."""
-        parts = urlsplit(url)
-        origin = (parts.scheme, parts.hostname, parts.port)
-        target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        conn = self._take(origin)
+        conn = None
         try:
-            response = None
+            parts = urlsplit(url)
+            origin = (parts.scheme, parts.hostname, parts.port)
+            target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+            if not parts.hostname or _BAD_TARGET.search(target):
+                raise ValueError("no host, or a request target that is not printable ASCII")
+            conn = self._take(origin)
             if conn is not None:
                 try:
-                    response = self._start(conn, method, target, body, timeout)
-                except _IDLE_DROPPED:
+                    status, data, reusable = conn.exchange(method, target, body, timeout)
+                except _Dropped:
                     conn.close()
-            if response is None:
+                    conn = None
+            if conn is None:
                 conn = self._connect(origin, timeout)
-                response = self._start(conn, method, target, body, timeout)
-            data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
+                status, data, reusable = conn.exchange(method, target, body, timeout)
+        except (OSError, ValueError) as exc:
             if conn is not None:
                 conn.close()
             raise OctvError(f"{method} {url} failed: {exc!r}") from None
-        if response.will_close:
-            conn.close()
-        else:
+        if reusable:
             self._give(origin, conn)
-        return response.status, data
+        else:
+            conn.close()
+        return status, data
 
-    @staticmethod
-    def _start(conn, method, target, body, timeout) -> http.client.HTTPResponse:
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
-        conn.request(method, target, body=body)
-        return conn.getresponse()
+    def _connect(self, origin, timeout) -> _Connection:
+        return _Connection(origin, timeout, self._tls_context() if origin[0] == "https" else None)
 
-    def _connect(self, origin, timeout) -> http.client.HTTPConnection:
-        scheme, host, port = origin
-        if scheme == "https":
-            if self._tls is None:
-                self._tls = ssl.create_default_context()  # verifies certificate and host name
-            return http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
-        return http.client.HTTPConnection(host, port, timeout=timeout)
+    def _tls_context(self) -> ssl.SSLContext:
+        if self._tls is None:
+            self._tls = ssl.create_default_context()  # verifies certificate and host name
+        return self._tls
 
     def _take(self, origin):
         with self._lock:

@@ -1,10 +1,12 @@
 import hashlib
 import http.client
 import os
+import re
 import secrets
 import socket
 import ssl
 import statistics
+import sys
 import threading
 import time
 import urllib.request
@@ -12,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from octv import store as store_module
 from octv.errors import ConflictError, NotFoundError, OctvError, ProtocolError
@@ -335,10 +339,10 @@ class TestPooledConnections:
         assert kept == {server.port for server in servers[-pool.ORIGINS:]}
 
     def test_https_verifies_certificates(self, pool):
-        conn = pool._connect(("https", "files.example", None), 1.0)
-        assert isinstance(conn, http.client.HTTPSConnection)
-        assert conn._context.verify_mode == ssl.CERT_REQUIRED
-        assert conn._context.check_hostname
+        context = pool._tls_context()  # what every https connection is wrapped with
+        assert context.verify_mode == ssl.CERT_REQUIRED
+        assert context.check_hostname
+        assert pool._tls_context() is context
 
 
 class TestErrorMapping:
@@ -407,3 +411,216 @@ class TestRequestSmuggling:
         assert replies.count(b"HTTP/1.1 ") == 1
         assert store.keys() == []
         assert len(server.request_log) == 1
+
+
+class TestStop:
+    def test_stop_is_fast(self):
+        server = StoreServer(MemoryObjectStore())
+        server.start()
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.1
+
+    def test_stop_without_start_returns(self):
+        server = StoreServer(MemoryObjectStore())
+        stopping = threading.Thread(target=server.stop, daemon=True)
+        stopping.start()
+        stopping.join(timeout=3)
+        assert not stopping.is_alive()
+
+
+@pytest.fixture
+def tracebacks(monkeypatch):
+    """Exceptions raised in the store's threads: socketserver hands a handler's to
+    ``handle_error``, and a thread that dies goes to ``threading.excepthook``."""
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: seen.append(args.exc_value))
+    monkeypatch.setattr(store_module._StoreHTTPServer, "handle_error",
+                        lambda self, request, address: seen.append(sys.exc_info()[1]))
+    return seen
+
+
+def exchange_raw(port: int, data: bytes, end_write: bool = True) -> bytes:
+    """Send ``data`` on a fresh connection and read until the store closes it.
+
+    With ``end_write`` the client then sends nothing more, so a store that
+    waits for a further request sees the end of the stream."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        if end_write:
+            sock.shutdown(socket.SHUT_WR)
+        replies = b""
+        while chunk := sock.recv(65536):
+            replies += chunk
+    return replies
+
+
+def single_reply(replies: bytes) -> int:
+    """The status of the one HTTP/1.1 reply in ``replies``, after any 100 Continue."""
+    replies = replies.removeprefix(b"HTTP/1.1 100 Continue\r\n\r\n")
+    head, blank, body = replies.partition(b"\r\n\r\n")
+    status_line, *fields = head.split(b"\r\n")
+    assert blank and re.fullmatch(rb"HTTP/1\.1 [1-5]\d\d .*", status_line), replies[:200]
+    lengths = [int(f.split(b":")[1]) for f in fields if f.lower().startswith(b"content-length:")]
+    assert len(lengths) == 1
+    assert len(body) in (0, lengths[0])  # a HEAD reply has no body; nothing follows the reply
+    return int(status_line[9:12])
+
+
+KEY_PATH = f"/{make_key(1).path}".encode()
+
+
+class TestHostileRequestHeads:
+    @pytest.mark.parametrize("head, status", [
+        (b"PUT " + KEY_PATH + b" HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
+         400),
+        (b"GET " + KEY_PATH + b" HTTP/1.1\r\nHost : store\r\n\r\n", 400),
+        (b"GET " + KEY_PATH + b" HTTP/1.1\r\nX: " + b"a" * (65537 - 3), 431),
+        (b"GET " + KEY_PATH + b" HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431),
+        (b"GET " + KEY_PATH + b" HTTP/2.0\r\n\r\n", 505),
+        (b"GET " + KEY_PATH + b" HTTP/1.x\r\n\r\n", 400),
+    ], ids=["repeated-content-length", "space-before-colon", "long-line", "101-headers",
+            "http2", "bad-version"])
+    def test_one_error_reply_then_close(self, server, tracebacks, head, status):
+        server, store = server
+        assert single_reply(exchange_raw(server.port, head, end_write=False)) == status
+        assert store.keys() == [] and server.request_log == []
+        assert tracebacks == []
+
+    def test_short_put_body_is_not_stored(self, server, tracebacks):
+        server, store = server
+        head = b"PUT " + KEY_PATH + b" HTTP/1.1\r\nContent-Length: 30\r\n\r\nabc"
+        assert single_reply(exchange_raw(server.port, head)) == 400
+        assert store.keys() == [] and tracebacks == []
+
+    def test_continue_is_sent_before_the_body(self, server):
+        server, store = server
+        head = b"PUT " + KEY_PATH + b" HTTP/1.1\r\nContent-Length: 3\r\nExpect: 100-continue\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(head)
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(b"abc")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 201 ")
+        assert store.get(make_key(1)) == b"abc"
+
+
+def _no_newline(parts):
+    return parts.filter(lambda b: b"\n" not in b)
+
+
+REQUEST_LINES = st.tuples(
+    st.sampled_from([b"GET", b"PUT", b"HEAD", b"POST"]) | st.binary(max_size=8),
+    st.sampled_from([KEY_PATH, f"/{make_key(2).path}".encode(), b"//x", b"/zz.mp4"])
+    | st.binary(max_size=24),
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0", b"HTTP/1.1x", b"HTTP/01.1"])
+    | st.binary(max_size=10),
+).map(b" ".join)
+FIELDS = st.sampled_from([
+    b"Content-Length: 0", b"Content-Length: 3", b"Content-Length: 99999999999999999999",
+    b"Content-Length: -1", b"Transfer-Encoding: chunked", b"Connection: close",
+    b"Connection: keep-alive", b"Expect: 100-continue", b"Host : x", b" folded", b":", b"\r",
+]) | st.binary(min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(line=_no_newline(REQUEST_LINES), fields=st.lists(_no_newline(FIELDS), max_size=6))
+def test_any_request_head_gets_one_reply_or_a_close(server, tracebacks, line, fields):
+    server, _ = server
+    replies = exchange_raw(server.port, b"".join(f + b"\r\n" for f in [line, *fields]) + b"\r\n")
+    if len(line.decode("latin-1").split()) >= 3:  # fewer words is an HTTP/0.9 request or none
+        single_reply(replies)
+    assert tracebacks == []
+
+
+class RawReplyServer:
+    """Answers each connection's first request head with fixed bytes, then closes it."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.reply = b""
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}/{make_key(1).path}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:  # closed
+                return
+            with conn:
+                head = b""
+                try:
+                    while b"\r\n\r\n" not in head and (chunk := conn.recv(65536)):
+                        head += chunk
+                    conn.sendall(self.reply)
+                except OSError:
+                    pass
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
+
+
+@pytest.fixture
+def raw_reply():
+    server = RawReplyServer()
+    yield server
+    server.close()
+
+
+class TestHostileReplies:
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+        b"HTTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi",
+        b"HTTP/1.1 200 OK\r\nX: " + b"a" * 65537 + b"\r\nContent-Length: 2\r\n\r\nhi",
+    ], ids=["truncated-body", "bad-status-line", "long-header"])
+    def test_bad_reply_is_an_error_and_not_pooled(self, raw_reply, pool, reply):
+        raw_reply.reply = reply
+        with pytest.raises(OctvError) as excinfo:
+            fetch_url(raw_reply.url)
+        assert type(excinfo.value) is OctvError
+        assert not any(pool._idle.values())
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"5\r\nfoota\r\n3;ext=1\r\nge \r\nb\r\nis all here\r\n0\r\nTrailer: x\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nfootage is all here",
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 19\r\n\r\n"
+        b"footage is all here",
+    ], ids=["chunked", "close-delimited", "continue-first"])
+    def test_framed_body_comes_back_whole(self, raw_reply, pool, reply):
+        raw_reply.reply = reply
+        assert fetch_url(raw_reply.url) == b"footage is all here"
+
+
+@pytest.mark.parametrize("url", [
+    "http://127.0.0.1:1/\u00e9.mp4", "http://127.0.0.1:1/a b.mp4", "http://127.0.0.1:abc/x.mp4",
+    "http:///x.mp4",
+], ids=["non-ascii-path", "space-in-path", "bad-port", "no-host"])
+def test_unusable_url_is_octv_error(pool, url):
+    with pytest.raises(OctvError) as excinfo:
+        fetch_url(url)
+    assert type(excinfo.value) is OctvError
+
+
+REPLIES = st.binary(max_size=200) | st.tuples(
+    st.sampled_from([b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 100 Continue",
+                     b"HTTP/1.1 404 Not Found", b"HTTP/1.1 204 No Content"]),
+    st.lists(st.sampled_from([
+        b"Content-Length: 5", b"Content-Length: 99999999999999999999", b"Content-Length: x",
+        b"Content-Length: 5", b"Transfer-Encoding: chunked", b"Connection: close", b" fold",
+    ]) | st.binary(max_size=20), max_size=4),
+    st.binary(max_size=60) | st.sampled_from([b"5\r\nhello\r\n0\r\n\r\n", b"ffffffffff\r\nab"]),
+).map(lambda p: b"".join(f + b"\r\n" for f in [p[0], *p[1]]) + b"\r\n" + p[2])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(reply=REPLIES)
+def test_any_reply_gives_bytes_or_octv_error(raw_reply, pool, reply):
+    raw_reply.reply = reply
+    try:
+        assert isinstance(fetch_url(raw_reply.url, timeout=2.0), bytes)
+    except OctvError:
+        pass
