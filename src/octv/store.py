@@ -286,6 +286,11 @@ class _StoreHandler(BaseHTTPRequestHandler):
         except ProtocolError:
             self._refuse(400, b"bad request\n")
             return
+        # a coded body read by its Content-Length would leave a tail to be parsed as the
+        # next request (RFC 9112 §6.1)
+        if "transfer-encoding" in self.headers:
+            self._refuse(501, b"Transfer-Encoding is not accepted\n")
+            return
         raw_length = self.headers.get("content-length")
         if raw_length is None or not (raw_length.isascii() and raw_length.isdigit()):
             status = 411 if raw_length is None else 400
@@ -405,7 +410,6 @@ class _Dropped(ConnectionError):
     """The server closed the connection before a byte of its reply."""
 
 
-_ONE_SEND = 64 * 1024  # a body up to this size goes out with its head in one send
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")
 
 
@@ -445,12 +449,9 @@ class _Connection:
         head = (head + "\r\n").encode("ascii")
         self.sock.settimeout(timeout)
         try:
-            if body is not None and len(body) <= _ONE_SEND:
-                self.sock.sendall(head + body)
-            else:
-                self.sock.sendall(head)
-                if body:
-                    self.sock.sendall(body)
+            self.sock.sendall(head)
+            if body:
+                self.sock.sendall(body)
             line = self.reader.readline(_MAX_LINE + 1)
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise _Dropped(str(exc)) from None

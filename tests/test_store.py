@@ -344,6 +344,38 @@ class TestPooledConnections:
         assert context.check_hostname
         assert pool._tls_context() is context
 
+    def test_https_connection_is_wrapped(self, pool, monkeypatch):
+        """An https origin goes through the pool's context, named for its host."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_in_plain_text():
+            conn, _ = listener.accept()
+            with conn:
+                try:
+                    conn.recv(65536)  # the TLS client hello
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi")
+                    conn.shutdown(socket.SHUT_WR)
+                    while conn.recv(65536):
+                        pass
+                except OSError:
+                    pass
+
+        answering = threading.Thread(target=answer_in_plain_text, daemon=True)
+        answering.start()
+        context, names = pool._tls_context(), []
+        wrap_socket = context.wrap_socket
+
+        def wrap_named(sock, server_hostname):
+            names.append(server_hostname)
+            return wrap_socket(sock, server_hostname=server_hostname)
+
+        monkeypatch.setattr(context, "wrap_socket", wrap_named)
+        with listener, pytest.raises(OctvError, match="SSL"):
+            fetch_url(f"https://127.0.0.1:{listener.getsockname()[1]}/{make_key(1).path}")
+        answering.join(timeout=5)
+        assert names == ["127.0.0.1"]
+        assert not any(pool._idle.values())
+
 
 class TestErrorMapping:
     def test_not_found(self, server):
@@ -492,6 +524,15 @@ class TestHostileRequestHeads:
         head = b"PUT " + KEY_PATH + b" HTTP/1.1\r\nContent-Length: 30\r\n\r\nabc"
         assert single_reply(exchange_raw(server.port, head)) == 400
         assert store.keys() == [] and tracebacks == []
+
+    def test_chunked_put_is_refused(self, server, tracebacks):
+        """A coded body read by its Content-Length would leave a tail to run as a request."""
+        server, store = server
+        head = (b"PUT " + KEY_PATH + b" HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+                b"Content-Length: 8\r\n\r\n3\r\nabc\r\n0\r\n\r\n")
+        assert single_reply(exchange_raw(server.port, head, end_write=False)) == 501
+        assert store.keys() == [] and len(server.request_log) == 1
+        assert tracebacks == []
 
     def test_continue_is_sent_before_the_body(self, server):
         server, store = server
