@@ -9,6 +9,7 @@ ends frame HTTP/1.1 themselves: one header reader, with the stdlib's line
 and count limits, parses request and reply heads alike.
 """
 
+import io
 import os
 import re
 import secrets
@@ -132,6 +133,7 @@ _MAX_LINE = 65536  # http.client's limits: bytes in one head line,
 _MAX_HEADERS = 100  # and lines in one head, its blank end line counted
 _PIECE = 1 << 20  # bodies are read in pieces this size, so a claimed length allocates nothing
 _FIELD = re.compile(r"([^\s:]+):[ \t]*(.*?)[ \t]*")
+_YIELD = getattr(os, "sched_yield", None)  # not on Windows
 
 
 class _HeadError(ValueError):
@@ -179,7 +181,18 @@ def _read_headers(reader) -> dict[str, str]:
 
 
 def _read_body(reader, length: int) -> bytes:
-    """The next ``length`` bytes, fewer only at end of stream."""
+    """The next ``length`` bytes, fewer only at end of stream.
+
+    A body longer than the read buffer is likely still being sent. When
+    its sender is a thread sharing this CPU (a store and its client in one
+    process), yielding first lets it finish, and the body is read whole.
+    A reader that instead sleeps on each piece is woken while the sender
+    still runs, and the scheduler then tends to part the two threads onto
+    separate CPUs, where every later hand-off is a cross-CPU wake-up.
+    With nothing else runnable here, the yield returns at once.
+    """
+    if length > io.DEFAULT_BUFFER_SIZE and _YIELD is not None:
+        _YIELD()
     pieces = []
     while length > 0:
         piece = reader.read(min(length, _PIECE))

@@ -1,5 +1,6 @@
 import hashlib
 import http.client
+import io
 import os
 import re
 import secrets
@@ -665,3 +666,14 @@ def test_any_reply_gives_bytes_or_octv_error(raw_reply, pool, reply):
         assert isinstance(fetch_url(raw_reply.url, timeout=2.0), bytes)
     except OctvError:
         pass
+
+
+@pytest.mark.parametrize("length, yields", [(io.DEFAULT_BUFFER_SIZE, 0),
+                                            (io.DEFAULT_BUFFER_SIZE + 1, 1)])
+def test_body_longer_than_the_buffer_yields_before_reading(monkeypatch, length, yields):
+    """A sender sharing this CPU gets to finish a long body before it is read."""
+    calls = []
+    monkeypatch.setattr(store_module, "_YIELD", lambda: calls.append(None))
+    source = io.BytesIO(bytes(range(256)) * 64)
+    assert store_module._read_body(source, length) == source.getvalue()[:length]
+    assert len(calls) == yields
