@@ -115,13 +115,15 @@ class Wallet:
     A ``path`` of ``None`` keeps the wallet in memory (used for imports
     and tests); otherwise every accepted record hits disk before the
     ingest call returns. ``records`` lists every record in ingest order;
-    ``by_camera`` lists the same records per camera address, in that order.
+    ``by_camera`` lists the same records per camera address, in that order,
+    and ``_by_seq`` per (camera address, seq), in that order too.
     """
 
     def __init__(self, path=None):
         self.path = str(path) if path is not None else None
         self.records: list[WalletRecord] = []
         self.by_camera: dict[bytes, list[WalletRecord]] = {}
+        self._by_seq: dict[tuple[bytes, int], list[WalletRecord]] = {}
         self._index: set[tuple[bytes, bytes, int]] = set()
         self._tokens: dict[bytes, dict[int, ChunkToken]] = {}
         self._token_times: dict[tuple[bytes, int], float] = {}
@@ -155,6 +157,7 @@ class Wallet:
         lines = data[:kept].decode("utf-8", errors="replace").splitlines()
         if not lines or lines[0] != WALLET_HEADER:
             raise WalletError(f"{source}: line 1: missing wallet header")
+        descriptors: dict[str, CameraDescriptor] = {}  # by blob hex, decoded once per load
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -165,10 +168,14 @@ class Wallet:
                 parts = body.split(" ")
                 if parts[0] == "R":
                     _, received_at, address, descriptor_hex, packet_hex = parts
+                    descriptor = descriptors.get(descriptor_hex)
+                    if descriptor is None:  # a bad blob raises here and is never kept
+                        descriptor = decode_descriptor_blob(bytes.fromhex(descriptor_hex))
+                        descriptors[descriptor_hex] = descriptor
                     record = WalletRecord(
                         received_at=float(received_at),
                         camera_address=bytes.fromhex(address),
-                        descriptor=decode_descriptor_blob(bytes.fromhex(descriptor_hex)),
+                        descriptor=descriptor,
                         packet=decode_key_packet(bytes.fromhex(packet_hex)),
                     )
                     self._add_record(record)
@@ -193,6 +200,7 @@ class Wallet:
         self._index.add(key)
         self.records.append(record)
         self.by_camera.setdefault(record.camera_address, []).append(record)
+        self._by_seq.setdefault((record.camera_address, record.packet.seq), []).append(record)
         return True
 
     def _add_token(self, token: ChunkToken, received_at: float) -> bool:
@@ -251,8 +259,8 @@ class Wallet:
         latest = record.received_at + 2 * record.packet.reconnect_interval_s
         candidates = [
             r
-            for r in self.by_camera.get(record.camera_address, ())
-            if r.packet.seq == want_seq and record.received_at <= r.received_at <= latest
+            for r in self._by_seq.get((record.camera_address, want_seq), ())
+            if record.received_at <= r.received_at <= latest
         ]
         return min(candidates, key=lambda r: r.received_at) if candidates else None
 

@@ -6,7 +6,10 @@ server never inspects or logs payload contents beyond their length; its
 request log holds method, path, status and size only. Clients keep their
 HTTP/1.1 connections open in one small pool shared by every request. Both
 ends frame HTTP/1.1 themselves: one header reader, with the stdlib's line
-and count limits, parses request and reply heads alike.
+and count limits, parses request and reply heads alike. The store serves
+each connection from its own request loop and writes every reply head and
+body with one gathered send; each head carries ``Date``, ``Content-Type``,
+``Content-Length`` and, when the store then closes, ``Connection: close``.
 """
 
 import io
@@ -14,13 +17,17 @@ import os
 import re
 import secrets
 import socket
+import socketserver
 import ssl
 import threading
+import time
 import urllib.error
 import urllib.request
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit, urlunsplit
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
+from urllib.parse import SplitResult, urlsplit
 
 from .errors import ConflictError, NotFoundError, OctvError, ProtocolError
 
@@ -203,59 +210,85 @@ def _read_body(reader, length: int) -> bytes:
     return b"".join(pieces)
 
 
-class _StoreHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
+_CLOSE = "Connection: close\r\n"
+
+
+class _StoreHandler(socketserver.StreamRequestHandler):
+    """One connection: its requests are read and answered in turn until it closes."""
+
     # a connection idle this long is closed, so a vanished client cannot hold its thread
     timeout = 30.0
-    # a reply is buffered and flushed once, with Nagle's algorithm off: sent as headers
+    # a reply goes out in one gathered send, with Nagle's algorithm off: sent as headers
     # then body, the body waited for the client's delayed ACK (~40 ms per keep-alive GET)
-    wbufsize = 64 * 1024
     disable_nagle_algorithm = True
 
-    def _log(self, method: str, status: int, length: int) -> None:
-        self.server.request_log.append(f"{method} {self.path} {status} {length}")
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except TimeoutError:  # idle or stalled past ``timeout``: closed without a reply
+            pass
 
-    def log_message(self, fmt, *args):  # silence default stderr chatter
-        pass
+    def _serve_one(self) -> bool:
+        """Read and answer one request; False once the connection is to close."""
+        try:
+            line = self.rfile.readline(_MAX_LINE + 1)
+        except ConnectionError:  # the client went away between requests
+            return False
+        if not line:
+            return False
+        if len(line) > _MAX_LINE:
+            self.command, self.request_version = None, "HTTP/1.1"
+            self._error(414, "Request-URI Too Long")
+            return False
+        if not self._parse_request(line):
+            return False
+        method = self._METHODS.get(self.command)
+        if method is None:
+            self._error(501, f"Unsupported method ({self.command!r})")
+            return False
+        method(self)
+        return not self.close_connection
 
-    def parse_request(self) -> bool:
+    def _parse_request(self, line: bytes) -> bool:
         """The stdlib's request-line checks; the headers go through ``_read_headers``."""
         self.command = None
-        self.request_version = self.default_request_version
+        self.request_version = "HTTP/0.9"
         self.close_connection = True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.requestline.split()
+        requestline = str(line, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
         if not words:
             return False
         if len(words) >= 3:
             version = words[-1]
             number = version[5:].split(".") if version.startswith("HTTP/") else ()
             # answered with a status line: left at HTTP/0.9, the reply would have none
-            self.request_version = self.protocol_version
+            self.request_version = "HTTP/1.1"
             if len(number) != 2 or not all(n.isascii() and n.isdigit() and len(n) <= 10
                                            for n in number):
-                self.send_error(400, f"Bad request version ({version!r})")
+                self._error(400, f"Bad request version ({version!r})")
                 return False
             if int(number[0]) >= 2:
-                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                self._error(505, f"Invalid HTTP version ({version[5:]})")
                 return False
             self.close_connection = (int(number[0]), int(number[1])) < (1, 1)
             self.request_version = version
         if not 2 <= len(words) <= 3:
-            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            self._error(400, f"Bad request syntax ({requestline!r})")
             return False
         self.command, self.path = words[:2]
         if len(words) == 2:
             self.close_connection = True
             if self.command != "GET":
-                self.send_error(400, f"Bad HTTP/0.9 request type ({self.command!r})")
+                self._error(400, f"Bad HTTP/0.9 request type ({self.command!r})")
                 return False
         if self.path.startswith("//"):  # gh-87389: never an absolute URI without a scheme
             self.path = "/" + self.path.lstrip("/")
         try:
             self.headers = _read_headers(self.rfile)
         except _HeadError as err:
-            self.send_error(err.status, str(err))
+            self._error(err.status, str(err))
             return False
         connection = self.headers.get("connection", "").lower()
         if connection == "close":
@@ -264,9 +297,8 @@ class _StoreHandler(BaseHTTPRequestHandler):
             self.close_connection = False
         if (self.headers.get("expect", "").lower() == "100-continue"
                 and self.request_version >= "HTTP/1.1"):
-            if not self.handle_expect_100():
-                return False
-            self.wfile.flush()  # the client holds the body back until it sees this
+            # the client holds the body back until it sees this
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
     def _close_if_body(self) -> None:
@@ -275,21 +307,21 @@ class _StoreHandler(BaseHTTPRequestHandler):
         if self.headers.get("content-length", "0") != "0" or "transfer-encoding" in self.headers:
             self.close_connection = True
 
-    def do_GET(self):
+    def _get(self):
         self._close_if_body()
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
         except ProtocolError:
-            self._reply("GET", 400, b"bad request: expected /<16-hex-id>.<mp4|jpg>\n")
+            self._reply(400, b"bad request: expected /<16-hex-id>.<mp4|jpg>\n")
             return
         try:
             data = self.server.store.get(key)
         except NotFoundError:
-            self._reply("GET", 404, b"not found\n")
+            self._reply(404, b"not found\n")
             return
-        self._reply("GET", 200, data, len(data), content_type="application/octet-stream")
+        self._reply(200, data, len(data))
 
-    def do_PUT(self):
+    def _put(self):
         # operator writes are restricted to loopback connections
         if self.client_address[0] not in ("127.0.0.1", "::1"):
             self._refuse(403, b"uploads restricted to operator loopback\n")
@@ -317,11 +349,11 @@ class _StoreHandler(BaseHTTPRequestHandler):
         try:
             self.server.store.put(key, data)
         except ConflictError:
-            self._reply("PUT", 409, b"object exists\n", length)
+            self._reply(409, b"object exists\n", length)
             return
-        self._reply("PUT", 201, b"created\n", length)
+        self._reply(201, b"created\n", length)
 
-    def do_HEAD(self):
+    def _head(self):
         self._close_if_body()
         try:
             key = ObjectKey.from_path(self.path.lstrip("/"))
@@ -329,25 +361,44 @@ class _StoreHandler(BaseHTTPRequestHandler):
             status = 400
         else:
             status = 200 if self.server.store.contains(key) else 404
-        self._log("HEAD", status, 0)
-        self.send_response(status)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+        self._reply(status, b"")
+
+    _METHODS = {"GET": _get, "PUT": _put, "HEAD": _head}
 
     def _refuse(self, status: int, body: bytes) -> None:
         # the body stays unread: kept open, the connection would parse it as the next request
         self.close_connection = True
-        self._reply("PUT", status, body)
+        self._reply(status, body)
 
-    def _reply(self, method: str, status: int, body: bytes, logged_length: int = 0,
-               content_type: str = "text/plain"):
+    def _reply(self, status: int, body: bytes, logged_length: int = 0) -> None:
         # logged before a byte goes out: a client that has its reply sees the entry
-        self._log(method, status, logged_length)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.server.request_log.append(f"{self.command} {self.path} {status} {logged_length}")
+        self._send(status, body)
+
+    def _error(self, status: int, message: str) -> None:
+        """Answer a request that is not served, unlogged, and close the connection."""
+        self.close_connection = True
+        self._send(status, f"{message}\n".encode())
+
+    def _send(self, status: int, body: bytes) -> None:
+        """Write one reply: its head as one bytes value, sent with the body in one
+        gathered send. A HEAD reply has no body and a Content-Length of 0."""
+        if self.command == "HEAD":
+            body = b""
+        sock = self.connection
+        if self.request_version == "HTTP/0.9":  # the reply is its body alone
+            sock.sendall(body)
+            return
+        head = (f"{_STATUS_LINES[status]}Date: {self.server.date()}\r\n"
+                f"Content-Type: {'application/octet-stream' if status == 200 else 'text/plain'}"
+                f"\r\nContent-Length: {len(body)}\r\n"
+                f"{_CLOSE if self.close_connection else ''}\r\n").encode("ascii")
+        sent = sock.sendmsg((head, body)) - len(head)
+        if sent < 0:  # part of the head is still to go: its last -sent bytes
+            sock.sendall(head[sent:])
+            sent = 0
+        if sent < len(body):  # the rest from a view, so a large body is never copied
+            sock.sendall(memoryview(body)[sent:])
 
 
 class _StoreHTTPServer(ThreadingHTTPServer):
@@ -359,6 +410,15 @@ class _StoreHTTPServer(ThreadingHTTPServer):
         self.request_log = []
         self._connections = set()
         self._connections_lock = threading.Lock()
+        self._date = (0, "")  # a second and its IMF-fixdate
+
+    def date(self) -> str:
+        """Now as an HTTP ``Date`` value (RFC 9110 §6.6.1), formatted at most once a second."""
+        second = int(time.time())
+        date = self._date
+        if date[0] != second:
+            date = self._date = (second, formatdate(second, usegmt=True))
+        return date[1]
 
     def process_request(self, request, client_address):
         with self._connections_lock:
@@ -534,15 +594,17 @@ class _ConnectionPool:
         self._lock = threading.Lock()
         self._tls = None
 
-    def request(self, method: str, url: str, body: bytes | None = None,
+    def request(self, method: str, url: SplitResult, body: bytes | None = None,
                 timeout: float = 5.0) -> tuple[int, bytes]:
-        """Send one request; returns the status and the body read whole."""
+        """Send one request to a split URL; returns the status and the body read whole."""
         conn = None
         try:
-            parts = urlsplit(url)
-            origin = (parts.scheme, parts.hostname, parts.port)
-            target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
-            if not parts.hostname or _BAD_TARGET.search(target):
+            host = url.hostname
+            origin = (url.scheme, host, url.port)
+            target = url.path or "/"
+            if url.query:
+                target = f"{target}?{url.query}"
+            if not host or _BAD_TARGET.search(target):
                 raise ValueError("no host, or a request target that is not printable ASCII")
             conn = self._take(origin)
             if conn is not None:
@@ -557,7 +619,7 @@ class _ConnectionPool:
         except (OSError, ValueError) as exc:
             if conn is not None:
                 conn.close()
-            raise OctvError(f"{method} {url} failed: {exc!r}") from None
+            raise OctvError(f"{method} {url.geturl()} failed: {exc!r}") from None
         if reusable:
             self._give(origin, conn)
         else:
@@ -610,7 +672,7 @@ class HttpStoreClient:
         return f"{self.base_url}/{key.path}"
 
     def put(self, key: ObjectKey, data: bytes) -> None:
-        status, _ = _POOL.request("PUT", self._url(key), data, self.timeout)
+        status, _ = _POOL.request("PUT", urlsplit(self._url(key)), data, self.timeout)
         if status == 409:
             raise ConflictError(f"object {key.path} already exists")
         if not 200 <= status < 300:
@@ -620,7 +682,7 @@ class HttpStoreClient:
         return fetch_url(self._url(key), timeout=self.timeout)
 
     def contains(self, key: ObjectKey) -> bool:
-        status, _ = _POOL.request("HEAD", self._url(key), timeout=self.timeout)
+        status, _ = _POOL.request("HEAD", urlsplit(self._url(key)), timeout=self.timeout)
         if status == 404:
             return False
         if not 200 <= status < 300:
@@ -637,8 +699,8 @@ def open_store(target: str):
 
 def fetch_url(url: str, timeout: float = 5.0) -> bytes:
     """GET a footage URL (http, https or file scheme); http(s) reuses pooled connections."""
-    scheme = urlsplit(url).scheme
-    if scheme == "file":
+    parts = urlsplit(url)
+    if parts.scheme == "file":
         try:
             with urllib.request.urlopen(url, timeout=timeout) as response:
                 return response.read()
@@ -646,9 +708,9 @@ def fetch_url(url: str, timeout: float = 5.0) -> bytes:
             if isinstance(exc.reason, FileNotFoundError):
                 raise NotFoundError(f"footage not found at {url}") from None
             raise OctvError(f"fetch failed: {exc.reason}") from None
-    if scheme not in ("http", "https"):
-        raise ProtocolError(f"unsupported URL scheme {scheme!r}")
-    status, data = _POOL.request("GET", url, timeout=timeout)
+    if parts.scheme not in ("http", "https"):
+        raise ProtocolError(f"unsupported URL scheme {parts.scheme!r}")
+    status, data = _POOL.request("GET", parts, timeout=timeout)
     if status == 404:
         raise NotFoundError(f"footage not found at {url}")
     if status != 200:

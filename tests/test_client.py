@@ -1,5 +1,6 @@
 import random
 import secrets
+import zlib
 
 import pytest
 
@@ -181,6 +182,31 @@ class TestWalletPersistence:
         path = tmp_path / "wallet.txt"
         path.write_bytes(b"octv-wallet 1\nR \xff\xfe 00000000\n")
         with pytest.raises(WalletError, match="line 2"):
+            Wallet(path)
+
+    def test_one_camera_shares_one_descriptor(self, tmp_path):
+        path = tmp_path / "wallet.txt"
+        wallet = Wallet(path)
+        for seq in range(3):
+            wallet.ingest(make_record(seq=seq))
+        wallet.ingest(make_record(camera_address=b"\xcb" + bytes(5), name="other"))
+        wallet.close()
+        first, *same_camera, other = Wallet(path).records
+        assert all(r.descriptor is first.descriptor for r in same_camera)
+        assert other.descriptor.name == "other"
+
+    def test_bad_descriptor_blob_names_line_number(self, tmp_path):
+        path = tmp_path / "wallet.txt"
+        wallet = Wallet(path)
+        wallet.ingest(make_record(seq=0))
+        wallet.close()
+        lines = path.read_text().splitlines()
+        fields = lines[1].rpartition(" ")[0].split(" ")
+        fields[3] = fields[3][:-2]  # the same camera's blob, one byte short
+        body = " ".join(fields)
+        lines.append(f"{body} {zlib.crc32(body.encode('ascii')):08x}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WalletError, match="line 3: descriptor blob truncated"):
             Wallet(path)
 
     def test_missing_header(self, tmp_path):
@@ -386,9 +412,32 @@ def interleaved_wallet(tmp_path):
     return import_wallet(tmp_path / "wallet.txt")
 
 
+def one_camera_wallet(tmp_path):
+    """One camera's 700 packets over almost three seq laps, ingested shuffled.
+
+    Receipt gaps vary around the reconnect interval, so some segments have
+    no successor in time; every 50th packet has a twin with its seq and
+    receipt time, so successors tie.
+    """
+    rng = random.Random(11)
+    descriptor = make_descriptor(name="cam", location=Coordinates(50.0, 0.0))
+    records, t = [], 0.0
+    for i in range(700):
+        t += rng.choice((8.0, 10.0, 10.0, 19.0, 25.0))
+        for _ in range(2 if i % 50 == 0 else 1):
+            packet = KeyPacket(generate_key(), i % 256, 10, generate_video_id(), ZERO_HASH_PREFIX)
+            records.append(WalletRecord(t, b"\xcd" + bytes(5), descriptor, packet))
+    rng.shuffle(records)
+    wallet = Wallet()
+    for record in records:
+        wallet.ingest(record)
+    return wallet
+
+
 class TestCameraListing:
-    def test_successor_of_matches_scan(self, tmp_path):
-        wallet = interleaved_wallet(tmp_path)
+    @pytest.mark.parametrize("make_wallet", [interleaved_wallet, one_camera_wallet])
+    def test_successor_of_matches_scan(self, tmp_path, make_wallet):
+        wallet = make_wallet(tmp_path)
         paired = [wallet.successor_of(r) for r in wallet.records]
         expected = [brute_successor(wallet, r) for r in wallet.records]
         assert all(a is b for a, b in zip(paired, expected))

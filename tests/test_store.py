@@ -1,3 +1,4 @@
+import email.utils
 import hashlib
 import http.client
 import io
@@ -7,11 +8,13 @@ import secrets
 import socket
 import ssl
 import statistics
+import struct
 import sys
 import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -310,6 +313,23 @@ class TestPooledConnections:
             fetch_url(url)
         assert not isinstance(excinfo.value, NotFoundError)
 
+    def test_client_reset_is_a_quiet_close(self, server, tracebacks):
+        """A client that vanishes between requests costs its connection and nothing more."""
+        server, store = server
+        store.put(make_key(1), b"hi")
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        sock.sendall(b"GET " + KEY_PATH + b" HTTP/1.1\r\n\r\n")
+        assert read_reply(sock)[2] == b"hi"
+        # an abortive close: the store's wait for the next request line reads a reset
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        deadline = time.monotonic() + 5
+        while server._httpd._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._httpd._connections
+        assert tracebacks == []
+        assert fetch_url(f"{server.base_url()}/{make_key(1).path}") == b"hi"
+
     def test_idle_timeout_then_reconnect(self, server, pool, monkeypatch):
         monkeypatch.setattr(store_module._StoreHandler, "timeout", 0.2)
         server, store = server
@@ -544,6 +564,76 @@ class TestHostileRequestHeads:
             sock.sendall(b"abc")
             assert sock.recv(65536).startswith(b"HTTP/1.1 201 ")
         assert store.get(make_key(1)) == b"abc"
+
+
+def read_reply(sock, head_only: bool = False) -> tuple[bytes, list[bytes], bytes]:
+    """One reply's status line, header lines and body, read by its Content-Length."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, data[:200]
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *fields = head.split(b"\r\n")
+    lengths = [int(f.split(b":")[1]) for f in fields if f.lower().startswith(b"content-length:")]
+    assert len(lengths) == 1, fields
+    while len(body) < (0 if head_only else lengths[0]):
+        chunk = sock.recv(65536)
+        assert chunk, body[:200]
+        body += chunk
+    return status_line, fields, body
+
+
+def closed_after_reply(sock) -> bool:
+    """Whether the store closed the connection, once a reply was read whole.
+
+    A second request on a connection kept open gets a reply of its own,
+    and nothing of the first reply may come before it."""
+    try:
+        sock.sendall(b"GET " + f"/{make_key(0xEE).path}".encode() + b" HTTP/1.1\r\n\r\n")
+        after = sock.recv(65536)
+    except (ConnectionResetError, BrokenPipeError):
+        return True
+    assert after == b"" or after.startswith(b"HTTP/1.1 404 "), after[:200]
+    return after == b""
+
+
+class TestReplyHeads:
+    @pytest.mark.parametrize("request_head, status", [
+        (b"GET " + KEY_PATH + b" HTTP/1.1\r\n\r\n", 200),
+        (b"GET /" + make_key(9).path.encode() + b" HTTP/1.1\r\n\r\n", 404),
+        (b"GET /zz.mp4 HTTP/1.1\r\n\r\n", 400),
+        (b"HEAD /" + make_key(9).path.encode() + b" HTTP/1.1\r\n\r\n", 404),
+        (b"PUT /" + make_key(2).path.encode() + b" HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
+         201),
+        (b"PUT /" + make_key(3).path.encode() + b" HTTP/1.1\r\n\r\nabc", 411),
+        (b"GET " + KEY_PATH + b" HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc", 200),
+        (b"GET " + KEY_PATH + b" HTTP/1.1\r\nConnection: close\r\n\r\n", 200),
+        (b"GET " + KEY_PATH + b" HTTP/1.0\r\n\r\n", 200),
+        (b"GET " + KEY_PATH + b" HTTP/1.1\r\nHost : store\r\n\r\n", 400),
+    ], ids=["get-200", "get-404", "get-400", "head-404", "put-201", "put-411", "get-with-body",
+            "connection-close", "http-1.0", "bad-head"])
+    def test_reply_head(self, server, tracebacks, request_head, status):
+        """One Date and one Content-Length, and Connection: close exactly when the store closes."""
+        server, store = server
+        store.put(make_key(1), b"hello")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(request_head)
+            head_only = request_head.startswith(b"HEAD")
+            status_line, fields, body = read_reply(sock, head_only)
+            closed = closed_after_reply(sock)
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode())
+        named = {}
+        for field in fields:
+            name, _, value = field.partition(b":")
+            named.setdefault(name.strip().lower(), []).append(value.strip().decode("latin-1"))
+        assert len(named[b"date"]) == 1
+        sent_at = email.utils.parsedate_to_datetime(named[b"date"][0])
+        assert abs((datetime.now(timezone.utc) - sent_at).total_seconds()) < 5
+        assert named[b"content-length"] == [str(len(body))]
+        assert (named.get(b"connection") == ["close"]) == closed
+        assert b"server" not in named
+        assert tracebacks == []
 
 
 def _no_newline(parts):
