@@ -412,7 +412,7 @@ def interleaved_wallet(tmp_path):
     return import_wallet(tmp_path / "wallet.txt")
 
 
-def one_camera_wallet(tmp_path):
+def one_camera_wallet():
     """One camera's 700 packets over almost three seq laps, ingested shuffled.
 
     Receipt gaps vary around the reconnect interval, so some segments have
@@ -435,13 +435,12 @@ def one_camera_wallet(tmp_path):
 
 
 class TestCameraListing:
-    @pytest.mark.parametrize("make_wallet", [interleaved_wallet, one_camera_wallet])
-    def test_successor_of_matches_scan(self, tmp_path, make_wallet):
-        wallet = make_wallet(tmp_path)
-        paired = [wallet.successor_of(r) for r in wallet.records]
-        expected = [brute_successor(wallet, r) for r in wallet.records]
-        assert all(a is b for a, b in zip(paired, expected))
-        assert sum(s is not None for s in paired) > len(paired) // 2
+    def test_successor_of_matches_scan(self, tmp_path):
+        for wallet in (interleaved_wallet(tmp_path), one_camera_wallet()):
+            paired = [wallet.successor_of(r) for r in wallet.records]
+            expected = [brute_successor(wallet, r) for r in wallet.records]
+            assert all(a is b for a, b in zip(paired, expected))
+            assert sum(s is not None for s in paired) > len(paired) // 2
 
     def test_group_sessions_matches_scan(self, tmp_path):
         wallet = interleaved_wallet(tmp_path)
