@@ -191,7 +191,9 @@ class TestWalletPersistence:
             wallet.ingest(make_record(seq=seq))
         wallet.ingest(make_record(camera_address=b"\xcb" + bytes(5), name="other"))
         wallet.close()
-        first, *same_camera, other = Wallet(path).records
+        reopened = Wallet(path)
+        reopened.close()
+        first, *same_camera, other = reopened.records
         assert all(r.descriptor is first.descriptor for r in same_camera)
         assert other.descriptor.name == "other"
 
