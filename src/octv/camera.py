@@ -49,6 +49,9 @@ _EV_TOKEN = 3
 
 _BACKOFF_CAP_S = 30.0
 
+# key-packet characteristic -> place of its stream in a live segment's files
+_KEY_PACKET_PLACE = {CHAR_KEY_PACKET: 0, CHAR_TIER_KEY_PACKET: 1}
+
 
 def synthetic_stream(seed: int, start: int, end: int) -> bytes:
     """Bytes [start, end) of the deterministic stream for ``seed``."""
@@ -279,17 +282,20 @@ class SegmentRecord:
 
 
 @dataclass
+class _StreamFile:
+    """One stream's file in the live segment; its key packet holds its key and id."""
+
+    stream: str  # main | tier
+    packet: KeyPacket
+    tokens: list[crypto.ChunkToken] | None = None  # a chunked main file's tokens
+
+
+@dataclass
 class _LiveSegment:
     seq: int
     start_t: float
-    key: bytes
-    video_id: bytes
-    packet: KeyPacket
+    files: list[_StreamFile]  # main first, then tier when tiering
     buffer: bytearray = field(default_factory=bytearray)
-    tokens: list[crypto.ChunkToken] | None = None
-    tier_key: bytes | None = None
-    tier_video_id: bytes | None = None
-    tier_packet: KeyPacket | None = None
 
 
 def _stdout_events(record: dict) -> None:
@@ -314,25 +320,25 @@ class CameraRuntime:
         self.records: list[SegmentRecord] = []
         self._segment: _LiveSegment | None = None
         self._seq = 0
-        self._prev_hash = crypto.ZERO_HASH_PREFIX
-        self._tier_prev_hash = crypto.ZERO_HASH_PREFIX
+        # each stream's chain: the hash prefix of its last sealed file
+        streams = ("main", "tier") if config.tiering else ("main",)
+        self._prev_hash = dict.fromkeys(streams, crypto.ZERO_HASH_PREFIX)
         self._boundary_t = 0.0
         self._next_beacon_t = 0.0
         self._next_token_t: float | None = None
         self._pending: list[tuple[float, SegmentRecord, int]] = []  # (due, record, attempt)
-        self._withheld: dict[bytes, SegmentRecord] = {}
-        self._withheld_order: list[bytes] = []
+        self._withheld: dict[bytes, SegmentRecord] = {}  # oldest first
         self._withheld_bytes = 0
         self._stopped = False
         self._started = False
 
     # -- lifecycle ----------------------------------------------------------
 
-    def attach(self, address: bytes | None = None) -> None:
+    def attach(self) -> None:
         """Join the transport and expose the characteristic surface."""
         if self.handle is None:
             if hasattr(self.transport, "join"):
-                self.handle = self.transport.join("camera", address=address)
+                self.handle = self.transport.join("camera")
             else:
                 self.handle = self.transport  # pre-built peer (e.g. UDP bus)
             self.handle.serve_characteristics(self._resolve_characteristic)
@@ -350,16 +356,16 @@ class CameraRuntime:
     def request_stop(self) -> None:
         self._stopped = True
 
-    def current_segment_info(self) -> dict | None:
-        """Identity of the in-progress segment, without key material."""
-        if self._segment is None:
-            return None
-        return {
-            "video_id": self._segment.video_id,
-            "seq": self._segment.seq,
-            "start_t": self._segment.start_t,
-            "tier_video_id": self._segment.tier_video_id,
-        }
+    def current_segment_info(self) -> list[dict]:
+        """The in-progress segment's files, main first, without key material."""
+        segment = self._segment
+        if segment is None:
+            return []
+        return [
+            {"stream": f.stream, "video_id": f.packet.video_id, "seq": segment.seq,
+             "start_t": segment.start_t}
+            for f in segment.files
+        ]
 
     def run(self) -> None:
         """Record until the source exhausts or a stop is requested."""
@@ -380,7 +386,7 @@ class CameraRuntime:
                 self._poll_control()
             if self._stopped:
                 break
-            self._dispatch_next()
+            self._dispatch(event)
             self._poll_control()
         self.shutdown()
 
@@ -393,7 +399,7 @@ class CameraRuntime:
                 break
             if isinstance(self.clock, SimClock):
                 self.clock.advance_to(event[0])
-            self._dispatch_next()
+            self._dispatch(event)
         if isinstance(self.clock, SimClock):
             self.clock.advance_to(t)
 
@@ -413,30 +419,28 @@ class CameraRuntime:
 
     # -- event loop ---------------------------------------------------------
 
-    def _next_event(self) -> tuple[float, int, SegmentRecord | None] | None:
-        candidates: list[tuple[float, int, SegmentRecord | None]] = []
+    def _next_event(self) -> tuple[float, int, tuple | None] | None:
+        """The earliest event as (due, priority, its ``_pending`` entry or None)."""
+        candidates: list[tuple[float, int, tuple | None]] = []
         if self._segment is not None:
             candidates.append((self._boundary_t, _EV_BOUNDARY, None))
             candidates.append((self._next_beacon_t, _EV_BEACON, None))
             if self._next_token_t is not None:
                 candidates.append((self._next_token_t, _EV_TOKEN, None))
-        for due, record, attempt in self._pending:
-            candidates.append((due, _EV_UPLOAD, record))
+        for entry in self._pending:
+            candidates.append((entry[0], _EV_UPLOAD, entry))
         if not candidates:
             return None
         return min(candidates, key=lambda c: (c[0], c[1]))
 
-    def _dispatch_next(self) -> None:
-        event = self._next_event()
-        if event is None:
-            return
-        when, priority, record = event
+    def _dispatch(self, event: tuple[float, int, tuple | None]) -> None:
+        when, priority, entry = event
         if priority == _EV_BOUNDARY:
             self._on_boundary(when)
         elif priority == _EV_UPLOAD:
-            entry = next(e for e in self._pending if e[1] is record and e[0] == when)
-            self._pending.remove(entry)
-            self._try_upload(record, when, entry[2])
+            # by identity: records with equal fields are still distinct uploads
+            del self._pending[next(i for i, e in enumerate(self._pending) if e is entry)]
+            self._try_upload(entry[1], when, entry[2])
         elif priority == _EV_BEACON:
             self._emit_beacon(when)
         elif priority == _EV_TOKEN:
@@ -486,32 +490,18 @@ class CameraRuntime:
 
     def _start_segment(self, t: float) -> None:
         config = self.config
-        key = self._fresh_key()
-        video_id = self._fresh_video_id()
-        packet = KeyPacket(
-            key=key,
-            seq=self._seq,
-            reconnect_interval_s=config.segment_interval_s,
-            video_id=video_id,
-            prev_hash_prefix=self._prev_hash,
-        )
-        segment = _LiveSegment(seq=self._seq, start_t=t, key=key, video_id=video_id, packet=packet)
+        files = []
+        for stream, prev_hash in self._prev_hash.items():
+            key = self._fresh_key()  # each stream draws its key, then its id
+            packet = KeyPacket(key=key, seq=self._seq, reconnect_interval_s=config.segment_interval_s,
+                               video_id=self._fresh_video_id(), prev_hash_prefix=prev_hash)
+            files.append(_StreamFile(stream, packet))
         if config.chunking is not None:
-            segment.tokens = [
-                crypto.ChunkToken(crypto.generate_token(), i, video_id)
+            files[0].tokens = [
+                crypto.ChunkToken(crypto.generate_token(), i, files[0].packet.video_id)
                 for i in range(config.chunking.chunk_count)
             ]
-        if config.tiering:
-            segment.tier_key = self._fresh_key()
-            segment.tier_video_id = self._fresh_video_id()
-            segment.tier_packet = KeyPacket(
-                key=segment.tier_key,
-                seq=self._seq,
-                reconnect_interval_s=config.segment_interval_s,
-                video_id=segment.tier_video_id,
-                prev_hash_prefix=self._tier_prev_hash,
-            )
-        self._segment = segment
+        self._segment = _LiveSegment(seq=self._seq, start_t=t, files=files)
         self._boundary_t = t + config.segment_interval_s
         self._next_beacon_t = t
         self._emit_beacon(t)
@@ -523,56 +513,35 @@ class CameraRuntime:
 
     def _finalize_segment(self, t: float) -> list[SegmentRecord]:
         """Seal the live segment; returns the new records, not yet dispatched."""
-        config = self.config
         segment = self._segment
         plaintext = bytes(segment.buffer)
-        if config.chunking is not None:
-            container = crypto.encrypt_segment_chunked(
-                plaintext, config.chunking.chunk_count, segment.key, segment.tokens
-            )
-        else:
-            container = crypto.encrypt_segment(plaintext, segment.key)
-        record = SegmentRecord(
-            video_id=segment.video_id,
-            seq=segment.seq,
-            start_t=segment.start_t,
-            end_t=t,
-            container=container,
-            state="pending",
-        )
-        new_records = [record]
-        self.records.append(record)
-        self._prev_hash = crypto.hash_prefix(container)
+        records = []
+        for f in segment.files:
+            data = plaintext if f.stream == "main" else plaintext[:: self.config.tier_divisor]
+            key = f.packet.key
+            if f.tokens is None:
+                container = crypto.encrypt_segment(data, key)
+            else:
+                container = crypto.encrypt_segment_chunked(data, len(f.tokens), key, f.tokens)
+            records.append(SegmentRecord(
+                video_id=f.packet.video_id, seq=segment.seq, start_t=segment.start_t, end_t=t,
+                container=container, state="pending", stream=f.stream))
+            self._prev_hash[f.stream] = crypto.hash_prefix(container)
+        self.records.extend(records)
+        main = records[0]
         self._emit(
             {
                 "event": "rotate",
                 "t": t,
                 "seq": segment.seq,
-                "video_id": segment.video_id.hex(),
+                "video_id": main.video_id.hex(),
                 "plaintext_bytes": len(plaintext),
-                "container_bytes": len(container),
+                "container_bytes": len(main.container),
             }
         )
-
-        if config.tiering:
-            reduced = plaintext[:: config.tier_divisor]
-            tier_container = crypto.encrypt_segment(reduced, segment.tier_key)
-            tier_record = SegmentRecord(
-                video_id=segment.tier_video_id,
-                seq=segment.seq,
-                start_t=segment.start_t,
-                end_t=t,
-                container=tier_container,
-                state="pending",
-                stream="tier",
-            )
-            self.records.append(tier_record)
-            new_records.append(tier_record)
-            self._tier_prev_hash = crypto.hash_prefix(tier_container)
-
         self._segment = None
         self._seq = (self._seq + 1) % 256
-        return new_records
+        return records
 
     def _dispatch_record(self, record: SegmentRecord, t: float) -> None:
         if self.config.mode == Mode.AUTO:
@@ -585,10 +554,9 @@ class CameraRuntime:
     def _withhold(self, record: SegmentRecord) -> None:
         record.state = "withheld"
         self._withheld[record.video_id] = record
-        self._withheld_order.append(record.video_id)
         self._withheld_bytes += len(record.container)
-        while self._withheld_bytes > self.config.withheld_budget_bytes and len(self._withheld_order) > 1:
-            oldest = self._withheld_order.pop(0)
+        while self._withheld_bytes > self.config.withheld_budget_bytes and len(self._withheld) > 1:
+            oldest = next(iter(self._withheld))
             evicted = self._withheld.pop(oldest)
             self._withheld_bytes -= len(evicted.container)
             evicted.state = "evicted"
@@ -625,7 +593,6 @@ class CameraRuntime:
         record = self._withheld.pop(video_id, None)
         if record is None:
             raise NotFoundError(f"no withheld segment {video_id.hex()}")
-        self._withheld_order.remove(video_id)
         self._withheld_bytes -= len(record.container)
         self._emit({"event": "release", "video_id": video_id.hex()})
         self._try_upload(record, self.clock.now(), attempt=0)
@@ -645,9 +612,9 @@ class CameraRuntime:
 
     def _emit_token(self, t: float) -> None:
         index = self._current_chunk_index(t)
-        token = self._segment.tokens[index]
+        main = self._segment.files[0]
         announcement = TokenAnnouncement(
-            video_id=self._segment.video_id, chunk_index=index, token=token.token
+            video_id=main.packet.video_id, chunk_index=index, token=main.tokens[index].token
         )
         self.handle.advertise(encode_advertisement(announcement))
         self._next_token_t = t + self.config.chunking.token_advert_interval_ms / 1000.0
@@ -656,10 +623,9 @@ class CameraRuntime:
         descriptor = self.config.descriptor
         if suffix in DESCRIPTOR_CHARS:
             return encode_characteristic(descriptor, suffix)
-        if suffix == CHAR_KEY_PACKET and self._segment is not None:
-            return encode_key_packet(self._segment.packet)
-        if suffix == CHAR_TIER_KEY_PACKET and self.config.tiering and self._segment is not None:
-            return encode_key_packet(self._segment.tier_packet)
+        place = _KEY_PACKET_PLACE.get(suffix)
+        if place is not None and self._segment is not None and place < len(self._segment.files):
+            return encode_key_packet(self._segment.files[place].packet)
         raise NoSuchCharacteristicError(f"characteristic {suffix:#06x} not served")
 
     # -- operator control ---------------------------------------------------

@@ -257,7 +257,6 @@ class _SegmentWindow:
     start_t: float
     end_t: float
     chunk_count: int  # 0 for the single-key scheme
-    stream: str
 
 
 def participant_addresses(scenario: Scenario) -> tuple[list[bytes], list[bytes]]:
@@ -351,31 +350,17 @@ def _collect_windows(scenario: Scenario, runtimes: list[CameraRuntime]) -> dict[
     for ci, runtime in enumerate(runtimes):
         chunking = scenario.cameras[ci].config.chunking
         chunk_count = chunking.chunk_count if chunking else 0
-        for record in runtime.records:
-            windows[record.video_id] = _SegmentWindow(
+        files = [(r.stream, r.video_id, r.start_t, r.end_t) for r in runtime.records]
+        # a live file runs to the end of the scenario
+        files += [(f["stream"], f["video_id"], f["start_t"], scenario.duration_s)
+                  for f in runtime.current_segment_info()]
+        for stream, video_id, start_t, end_t in files:
+            windows[video_id] = _SegmentWindow(
                 camera_index=ci,
-                start_t=record.start_t,
-                end_t=min(record.end_t, scenario.duration_s),
-                chunk_count=chunk_count if record.stream == "main" else 0,
-                stream=record.stream,
+                start_t=start_t,
+                end_t=min(end_t, scenario.duration_s),
+                chunk_count=chunk_count if stream == "main" else 0,
             )
-        live = runtime.current_segment_info()
-        if live is not None:
-            windows[live["video_id"]] = _SegmentWindow(
-                camera_index=ci,
-                start_t=live["start_t"],
-                end_t=scenario.duration_s,
-                chunk_count=chunk_count,
-                stream="main",
-            )
-            if live.get("tier_video_id"):
-                windows[live["tier_video_id"]] = _SegmentWindow(
-                    camera_index=ci,
-                    start_t=live["start_t"],
-                    end_t=scenario.duration_s,
-                    chunk_count=0,
-                    stream="tier",
-                )
     return windows
 
 

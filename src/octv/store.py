@@ -26,7 +26,6 @@ import urllib.request
 from collections import OrderedDict
 from email.utils import formatdate
 from http import HTTPStatus
-from http.server import ThreadingHTTPServer
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import ConflictError, NotFoundError, OctvError, ProtocolError
@@ -401,8 +400,11 @@ class _StoreHandler(socketserver.StreamRequestHandler):
             sock.sendall(memoryview(body)[sent:])
 
 
-class _StoreHTTPServer(ThreadingHTTPServer):
+class _StoreHTTPServer(socketserver.ThreadingTCPServer):
     """Threaded HTTP server that keeps hold of its open connections."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, address, store):
         super().__init__(address, _StoreHandler)

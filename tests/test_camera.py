@@ -150,30 +150,31 @@ class TestRotation:
 
     def test_first_packet_carries_zero_prefix(self):
         runtime, _, _ = self.make_runtime()
-        assert runtime._segment.packet.prev_hash_prefix == bytes(21)
-        assert runtime._segment.packet.seq == 0
+        main = runtime._segment.files[0].packet
+        assert main.prev_hash_prefix == bytes(21)
+        assert main.seq == 0
 
     def test_next_packet_prefix_matches_recomputed_hash(self):
         runtime, clock, store = self.make_runtime()
         clock.advance_to(2.0)
         [record] = runtime.rotate(clock.now())
         container = store.get(ObjectKey(record.video_id, runtime.config.extension))
-        next_packet = runtime._segment.packet
+        next_packet = runtime._segment.files[0].packet
         assert next_packet.prev_hash_prefix == hash_prefix(container)
         assert next_packet.seq == 1
 
     def test_fresh_key_and_video_id_each_rotation(self):
         runtime, clock, _ = self.make_runtime()
-        first = runtime._segment
-        first_key, first_vid = first.key, first.video_id
+        first = runtime._segment.files[0].packet
         clock.advance_to(2.0)
         runtime.rotate(clock.now())
-        assert runtime._segment.key != first_key
-        assert runtime._segment.video_id != first_vid
+        second = runtime._segment.files[0].packet
+        assert second.key != first.key
+        assert second.video_id != first.video_id
 
     def test_reconnect_interval_equals_segment_interval(self):
         runtime, _, _ = self.make_runtime()
-        assert runtime._segment.packet.reconnect_interval_s == 2
+        assert runtime._segment.files[0].packet.reconnect_interval_s == 2
 
 
 class TestManualMode:
@@ -212,6 +213,19 @@ class TestManualMode:
         assert len(pipeline.camera._withheld) == 2
         events = [e["event"] for e in pipeline.events]
         assert "withheld-evicted" in events
+
+    def test_released_segment_is_not_evicted_again(self):
+        pipeline = run_pipeline(segments=6, mode=Mode.MANUAL, run=False, rate=1000)
+        camera = pipeline.camera
+        camera.advance_to(6.0)  # three withheld segments of 2000 + 34 bytes
+        oldest, second, third = camera._withheld
+        camera.release_segment(second)
+        pipeline.config.withheld_budget_bytes = 2 * (2000 + 34) + 100  # room for two
+        camera.advance_to(8.0)  # a fourth withheld segment forces one eviction
+        evicted = [e["video_id"] for e in pipeline.events if e["event"] == "withheld-evicted"]
+        assert evicted == [oldest.hex()]
+        assert list(camera._withheld)[0] == third
+        assert pipeline.store.contains(ObjectKey(second, "mp4"))
 
     def test_evicted_ciphertext_is_dropped(self):
         budget = 4096
@@ -293,7 +307,7 @@ class TestVideoIdCollision:
         pipeline = run_pipeline(segments=1, store=store, run=False)
         pipeline.camera._video_id_source = lambda: next(ids)
         pipeline.camera.start()
-        assert pipeline.camera._segment.video_id == b"\x08" * 8
+        assert pipeline.camera._segment.files[0].packet.video_id == b"\x08" * 8
 
     def test_fatal_after_three_attempts(self):
         store = MemoryObjectStore()
@@ -353,17 +367,43 @@ class TestTiering:
         # tier plaintext is the subsampled main plaintext
         source = pipeline.source_bytes(0, 2000)
         tier_container = pipeline.store.get(ObjectKey(tier[0].video_id, "mp4"))
-        tier_record = next(
-            r for r in pipeline.wallet.records if r.packet.video_id == main[0].video_id
-        )
-        # the tier key comes over characteristic 0x0012; recover it from the transport log
+        # a trusted listener never reads the tier key packet (0x0012) ...
         tier_reads = [
             rec.payload for rec in pipeline.transport.log
             if rec.kind == "read" and rec.suffix == 0x0012
         ]
-        # listener does not read 0x0012; decrypt via the camera audit instead
+        assert tier_reads == []
+        # ... so decrypt with the tier key from the camera's audit
         tier_key = pipeline.key_audit[1]
         assert decrypt_segment(tier_container, tier_key) == source[::8]
+
+    def test_tier_stream_chains_its_own_files(self):
+        pipeline = run_pipeline(segments=3, tiering=True, run=False)
+        camera = pipeline.camera
+        camera.start()
+        reader = pipeline.transport.join("reader")
+        address = camera.handle.address
+        previous_tier = None
+        for boundary in (2.0, 4.0, 6.0):
+            tier = decode_key_packet(reader.read_characteristic(address, CHAR_TIER_KEY_PACKET))
+            main = decode_key_packet(reader.read_characteristic(address, CHAR_KEY_PACKET))
+            assert tier.seq == main.seq
+            if previous_tier is None:
+                assert tier.prev_hash_prefix == bytes(21)
+            else:
+                container = pipeline.store.get(ObjectKey(previous_tier.video_id, "mp4"))
+                assert tier.prev_hash_prefix == hash_prefix(container)
+            previous_tier = tier
+            camera.advance_to(boundary)
+
+    def test_rotate_then_uploads_main_first_at_one_instant(self):
+        pipeline = run_pipeline(
+            segments=4, tiering=True, mode=Mode.DELAYED, delay_s=2, segment_interval_s=2,
+            run=False,
+        )
+        pipeline.camera.advance_to(4.0)
+        at_four = [(e["event"], e.get("stream")) for e in pipeline.events if e.get("t") == 4.0]
+        assert at_four == [("rotate", None), ("upload", "main"), ("upload", "tier")]
 
 
 class TestChunkedCamera:

@@ -474,6 +474,21 @@ class TestStop:
         server.stop()
         assert time.perf_counter() - began < 0.1
 
+    def test_serves_without_a_host_name_lookup(self, monkeypatch):
+        def no_lookup(*_args):
+            raise OSError("no name lookups here")
+
+        monkeypatch.setattr(socket, "getfqdn", no_lookup)
+        monkeypatch.setattr(socket, "gethostbyaddr", no_lookup)
+        store = MemoryObjectStore()
+        store.put(make_key(1), b"hi")
+        server = StoreServer(store)
+        server.start()
+        try:
+            assert fetch_url(f"{server.base_url()}/{make_key(1).path}") == b"hi"
+        finally:
+            server.stop()
+
     def test_stop_without_start_returns(self):
         server = StoreServer(MemoryObjectStore())
         stopping = threading.Thread(target=server.stop, daemon=True)
