@@ -49,6 +49,8 @@ _EV_TOKEN = 3
 
 _BACKOFF_CAP_S = 30.0
 
+_TIER_DIVISOR = 8  # the tier file keeps every 8th byte of the segment
+
 # key-packet characteristic -> place of its stream in a live segment's files
 _KEY_PACKET_PLACE = {CHAR_KEY_PACKET: 0, CHAR_TIER_KEY_PACKET: 1}
 
@@ -154,7 +156,6 @@ class CameraConfig:
     delay_s: int = 0
     chunking: ChunkingConfig | None = None
     tiering: bool = False
-    tier_divisor: int = 8
     store_target: str = ""
     source_kind: str = "synthetic"  # synthetic | file
     source_seed: int = 0
@@ -177,8 +178,6 @@ class CameraConfig:
             raise ConfigError(f"advert_interval_ms must be >= 20, got {self.advert_interval_ms}")
         if self.mode == Mode.DELAYED and self.delay_s <= 0:
             raise ConfigError("delayed mode requires delay_s > 0")
-        if self.tier_divisor < 2:
-            raise ConfigError("tier_divisor must be >= 2")
 
     @property
     def extension(self) -> str:
@@ -517,7 +516,7 @@ class CameraRuntime:
         plaintext = bytes(segment.buffer)
         records = []
         for f in segment.files:
-            data = plaintext if f.stream == "main" else plaintext[:: self.config.tier_divisor]
+            data = plaintext if f.stream == "main" else plaintext[::_TIER_DIVISOR]
             key = f.packet.key
             if f.tokens is None:
                 container = crypto.encrypt_segment(data, key)

@@ -21,12 +21,10 @@ import socketserver
 import ssl
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import OrderedDict
 from email.utils import formatdate
 from http import HTTPStatus
-from urllib.parse import SplitResult, urlsplit
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConflictError, NotFoundError, OctvError, ProtocolError
 
@@ -143,7 +141,7 @@ _YIELD = getattr(os, "sched_yield", None)  # not on Windows
 
 
 class _HeadError(ValueError):
-    """A message head that is not parsed; ``status`` is what the store answers."""
+    """A message head that is refused; ``status`` is what the store answers."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
@@ -211,6 +209,7 @@ def _read_body(reader, length: int) -> bytes:
 
 _STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
 _CLOSE = "Connection: close\r\n"
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 class _StoreHandler(socketserver.StreamRequestHandler):
@@ -226,79 +225,48 @@ class _StoreHandler(socketserver.StreamRequestHandler):
         try:
             while self._serve_one():
                 pass
-        except TimeoutError:  # idle or stalled past ``timeout``: closed without a reply
+        # the client went away, or sat idle or stalled past ``timeout``: closed quietly
+        except (ConnectionError, TimeoutError):
             pass
 
     def _serve_one(self) -> bool:
-        """Read and answer one request; False once the connection is to close."""
-        try:
-            line = self.rfile.readline(_MAX_LINE + 1)
-        except ConnectionError:  # the client went away between requests
-            return False
-        if not line:
-            return False
-        if len(line) > _MAX_LINE:
-            self.command, self.request_version = None, "HTTP/1.1"
-            self._error(414, "Request-URI Too Long")
-            return False
-        if not self._parse_request(line):
-            return False
-        method = self._METHODS.get(self.command)
-        if method is None:
-            self._error(501, f"Unsupported method ({self.command!r})")
-            return False
-        method(self)
-        return not self.close_connection
+        """Read and answer one request; False once the connection is to close.
 
-    def _parse_request(self, line: bytes) -> bool:
-        """The stdlib's request-line checks; the headers go through ``_read_headers``."""
+        The request line is ``METHOD TARGET HTTP/<major>.<minor>``, three
+        words; anything else is answered 400 and the connection closed.
+        """
+        line = self.rfile.readline(_MAX_LINE + 1)
+        words = str(line, "iso-8859-1").split()
+        if not words:  # end of stream, or a line of whitespace: closed without a reply
+            return False
         self.command = None
-        self.request_version = "HTTP/0.9"
         self.close_connection = True
-        requestline = str(line, "iso-8859-1").rstrip("\r\n")
-        words = requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            version = words[-1]
-            number = version[5:].split(".") if version.startswith("HTTP/") else ()
-            # answered with a status line: left at HTTP/0.9, the reply would have none
-            self.request_version = "HTTP/1.1"
-            if len(number) != 2 or not all(n.isascii() and n.isdigit() and len(n) <= 10
-                                           for n in number):
-                self._error(400, f"Bad request version ({version!r})")
-                return False
-            if int(number[0]) >= 2:
-                self._error(505, f"Invalid HTTP version ({version[5:]})")
-                return False
-            self.close_connection = (int(number[0]), int(number[1])) < (1, 1)
-            self.request_version = version
-        if not 2 <= len(words) <= 3:
-            self._error(400, f"Bad request syntax ({requestline!r})")
-            return False
-        self.command, self.path = words[:2]
-        if len(words) == 2:
-            self.close_connection = True
-            if self.command != "GET":
-                self._error(400, f"Bad HTTP/0.9 request type ({self.command!r})")
-                return False
-        if self.path.startswith("//"):  # gh-87389: never an absolute URI without a scheme
-            self.path = "/" + self.path.lstrip("/")
         try:
+            if len(line) > _MAX_LINE:
+                raise _HeadError(414, "Request-URI Too Long")
+            version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+            if version is None:
+                raise _HeadError(400, "Bad request line")
+            if int(version[1]) >= 2:
+                raise _HeadError(505, f"Invalid HTTP version ({words[2][5:]})")
+            self.command, self.path = words[:2]
+            if self.path.startswith("//"):  # gh-87389: never an absolute URI without a scheme
+                self.path = "/" + self.path.lstrip("/")
             self.headers = _read_headers(self.rfile)
-        except _HeadError as err:
-            self._error(err.status, str(err))
+            method = self._METHODS.get(self.command)
+            if method is None:
+                raise _HeadError(501, f"Unsupported method ({self.command!r})")
+        except _HeadError as err:  # answered unlogged
+            self._send(err.status, f"{err}\n".encode())
             return False
+        http11 = (int(version[1]), int(version[2])) >= (1, 1)
         connection = self.headers.get("connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive":
-            self.close_connection = False
-        if (self.headers.get("expect", "").lower() == "100-continue"
-                and self.request_version >= "HTTP/1.1"):
+        self.close_connection = connection == "close" or (not http11 and connection != "keep-alive")
+        if http11 and self.headers.get("expect", "").lower() == "100-continue":
             # the client holds the body back until it sees this
             self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return True
+        method(self)
+        return not self.close_connection
 
     def _close_if_body(self) -> None:
         # a GET or HEAD body is never read: kept open, the connection would parse it
@@ -374,24 +342,16 @@ class _StoreHandler(socketserver.StreamRequestHandler):
         self.server.request_log.append(f"{self.command} {self.path} {status} {logged_length}")
         self._send(status, body)
 
-    def _error(self, status: int, message: str) -> None:
-        """Answer a request that is not served, unlogged, and close the connection."""
-        self.close_connection = True
-        self._send(status, f"{message}\n".encode())
-
     def _send(self, status: int, body: bytes) -> None:
         """Write one reply: its head as one bytes value, sent with the body in one
         gathered send. A HEAD reply has no body and a Content-Length of 0."""
         if self.command == "HEAD":
             body = b""
-        sock = self.connection
-        if self.request_version == "HTTP/0.9":  # the reply is its body alone
-            sock.sendall(body)
-            return
         head = (f"{_STATUS_LINES[status]}Date: {self.server.date()}\r\n"
                 f"Content-Type: {'application/octet-stream' if status == 200 else 'text/plain'}"
                 f"\r\nContent-Length: {len(body)}\r\n"
                 f"{_CLOSE if self.close_connection else ''}\r\n").encode("ascii")
+        sock = self.connection
         sent = sock.sendmsg((head, body)) - len(head)
         if sent < 0:  # part of the head is still to go: its last -sent bytes
             sock.sendall(head[sent:])
@@ -400,19 +360,28 @@ class _StoreHandler(socketserver.StreamRequestHandler):
             sock.sendall(memoryview(body)[sent:])
 
 
-class _StoreHTTPServer(socketserver.ThreadingTCPServer):
-    """Threaded HTTP server that keeps hold of its open connections."""
+class StoreServer(socketserver.ThreadingTCPServer):
+    """Threaded HTTP/1.x front for an object store that keeps hold of its open connections."""
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, store):
-        super().__init__(address, _StoreHandler)
+    def __init__(self, store, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _StoreHandler)
         self.store = store
         self.request_log = []
         self._connections = set()
         self._connections_lock = threading.Lock()
         self._date = (0, "")  # a second and its IMF-fixdate
+        self._thread = None
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def base_url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
 
     def date(self) -> str:
         """Now as an HTTP ``Date`` value (RFC 9110 §6.6.1), formatted at most once a second."""
@@ -432,8 +401,21 @@ class _StoreHTTPServer(socketserver.ThreadingTCPServer):
             self._connections.discard(request)
         super().shutdown_request(request)
 
-    def close_connections(self) -> None:
-        """End every open connection; its handler thread then sees end of stream."""
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Stop serving, then end every open connection; its handler sees end of stream."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            try:  # wakes serve_forever's poll now; shutdown() alone waits out its 0.5 s
+                self.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:  # a platform that cannot shut a listening socket
+                pass
+            self.shutdown()
+        self.server_close()
+        # kept-alive connections outlive the listening socket unless ended here
         with self._connections_lock:
             open_now = list(self._connections)
         for request in open_now:
@@ -441,42 +423,6 @@ class _StoreHTTPServer(socketserver.ThreadingTCPServer):
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:  # already closed by its handler
                 pass
-
-
-class StoreServer:
-    """Minimal HTTP front for an object store."""
-
-    def __init__(self, store, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = _StoreHTTPServer((host, port), store)
-        self._thread = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def request_log(self) -> list[str]:
-        return self._httpd.request_log
-
-    def base_url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            try:  # wakes serve_forever's poll now; shutdown() alone waits out its 0.5 s
-                self._httpd.socket.shutdown(socket.SHUT_RDWR)
-            except OSError:  # a platform that cannot shut a listening socket
-                pass
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        # kept-alive connections outlive the listening socket unless ended here
-        self._httpd.close_connections()
         if thread is not None:
             thread.join(timeout=5)
 
@@ -700,16 +646,22 @@ def open_store(target: str):
 
 
 def fetch_url(url: str, timeout: float = 5.0) -> bytes:
-    """GET a footage URL (http, https or file scheme); http(s) reuses pooled connections."""
+    """GET a footage URL (http, https or file scheme); http(s) reuses pooled connections.
+
+    A ``file:`` URL is read directly, with no name lookup: its host part
+    must be empty or ``localhost``, and any other host is refused.
+    """
     parts = urlsplit(url)
     if parts.scheme == "file":
+        if parts.netloc.lower() not in ("", "localhost"):
+            raise OctvError(f"file URL names another host: {parts.netloc!r}")
         try:
-            with urllib.request.urlopen(url, timeout=timeout) as response:
-                return response.read()
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, FileNotFoundError):
-                raise NotFoundError(f"footage not found at {url}") from None
-            raise OctvError(f"fetch failed: {exc.reason}") from None
+            with open(unquote(parts.path), "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            raise NotFoundError(f"footage not found at {url}") from None
+        except OSError as exc:
+            raise OctvError(f"fetch failed: {exc!r}") from None
     if parts.scheme not in ("http", "https"):
         raise ProtocolError(f"unsupported URL scheme {parts.scheme!r}")
     status, data = _POOL.request("GET", parts, timeout=timeout)

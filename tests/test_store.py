@@ -9,6 +9,7 @@ import socket
 import ssl
 import statistics
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -16,11 +17,14 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import octv
 from octv import store as store_module
 from octv.errors import ConflictError, NotFoundError, OctvError, ProtocolError
 from octv.store import (
@@ -202,6 +206,41 @@ class TestFetchers:
         with pytest.raises(NotFoundError):
             fetch_url(f"file://{tmp_path}/{make_key(2).path}")
 
+    def test_fetch_file_percent_encoded_path(self, tmp_path):
+        store = FsObjectStore(tmp_path / "a b")
+        store.put(make_key(1), b"footage")
+        url = f"file://{quote(str(tmp_path / 'a b' / make_key(1).path))}"
+        assert "%20" in url
+        assert fetch_url(url) == b"footage"
+        assert fetch_url(url.replace("file://", "file://localhost")) == b"footage"
+
+    def test_fetch_file_on_another_host_is_refused(self, monkeypatch):
+        def no_lookup(*_args, **_kwargs):
+            raise AssertionError("no name lookups here")
+
+        monkeypatch.setattr(socket, "gethostbyname", no_lookup)
+        monkeypatch.setattr(socket, "getaddrinfo", no_lookup)
+        with pytest.raises(OctvError) as excinfo:
+            fetch_url(f"file://otherhost/{make_key(1).path}")
+        assert not isinstance(excinfo.value, NotFoundError)
+
+    def test_fetch_file_directory_is_octv_error(self, tmp_path):
+        with pytest.raises(OctvError) as excinfo:
+            fetch_url(f"file://{tmp_path}")
+        assert type(excinfo.value) is OctvError
+
+    def test_cli_import_loads_no_url_opener(self):
+        """``file:`` URLs are read directly, so neither module is imported."""
+        code = ("import octv.cli, sys; "
+                "loaded = {'urllib.request', 'http.client'} & set(sys.modules); "
+                "assert not loaded, sorted(loaded)")
+        src = str(Path(octv.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
     def test_fetch_http_not_found(self, server):
         server, _ = server
         with pytest.raises(NotFoundError):
@@ -298,7 +337,7 @@ class TestPooledConnections:
         for _ in range(3):
             assert fetch_url(f"{server.base_url()}/{make_key(1).path}") == b"footage"
             assert client.get(make_key(2)) == b"more"
-        assert len(server._httpd._connections) == 1
+        assert len(server._connections) == 1
         assert [len(idle) for idle in pool._idle.values()] == [1]
 
     def test_fetch_after_stop_is_error(self):
@@ -314,19 +353,26 @@ class TestPooledConnections:
         assert not isinstance(excinfo.value, NotFoundError)
 
     def test_client_reset_is_a_quiet_close(self, server, tracebacks):
-        """A client that vanishes between requests costs its connection and nothing more."""
+        """A client that vanishes between requests, or in the middle of a request head,
+        costs its connection and nothing more."""
         server, store = server
         store.put(make_key(1), b"hi")
-        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
-        sock.sendall(b"GET " + KEY_PATH + b" HTTP/1.1\r\n\r\n")
-        assert read_reply(sock)[2] == b"hi"
-        # an abortive close: the store's wait for the next request line reads a reset
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        sock.close()
-        deadline = time.monotonic() + 5
-        while server._httpd._connections and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not server._httpd._connections
+        for head in (b"\r\n", b"Host: x\r\n"):
+            sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            sock.sendall(b"GET " + KEY_PATH + b" HTTP/1.1\r\n" + head)
+            if head == b"\r\n":
+                assert read_reply(sock)[2] == b"hi"
+            deadline = time.monotonic() + 5
+            while not server._connections and time.monotonic() < deadline:  # not yet accepted
+                time.sleep(0.01)
+            # an abortive close: the store's wait for the next request line, or for the
+            # rest of this head, reads a reset
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.monotonic() + 5
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._connections
         assert tracebacks == []
         assert fetch_url(f"{server.base_url()}/{make_key(1).path}") == b"hi"
 
@@ -340,9 +386,9 @@ class TestPooledConnections:
         monkeypatch.setattr(pool, "_connect", lambda *a: connects.append(a) or connect(*a))
         assert fetch_url(url) == b"hi"
         deadline = time.monotonic() + 5
-        while server._httpd._connections and time.monotonic() < deadline:
+        while server._connections and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not server._httpd._connections  # the server closed the idle connection
+        assert not server._connections  # the server closed the idle connection
         assert fetch_url(url) == b"hi"
         assert len(connects) == 2
 
@@ -503,7 +549,7 @@ def tracebacks(monkeypatch):
     ``handle_error``, and a thread that dies goes to ``threading.excepthook``."""
     seen = []
     monkeypatch.setattr(threading, "excepthook", lambda args: seen.append(args.exc_value))
-    monkeypatch.setattr(store_module._StoreHTTPServer, "handle_error",
+    monkeypatch.setattr(StoreServer, "handle_error",
                         lambda self, request, address: seen.append(sys.exc_info()[1]))
     return seen
 
@@ -547,13 +593,22 @@ class TestHostileRequestHeads:
         (b"GET " + KEY_PATH + b" HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431),
         (b"GET " + KEY_PATH + b" HTTP/2.0\r\n\r\n", 505),
         (b"GET " + KEY_PATH + b" HTTP/1.x\r\n\r\n", 400),
+        (b"GET " + KEY_PATH + b"\r\n\r\n", 400),
+        (b"GET\r\n\r\n", 400),
+        (b"PUT " + KEY_PATH + b"\r\n\r\n", 400),
     ], ids=["repeated-content-length", "space-before-colon", "long-line", "101-headers",
-            "http2", "bad-version"])
+            "http2", "bad-version", "two-word-get", "one-word", "two-word-put"])
     def test_one_error_reply_then_close(self, server, tracebacks, head, status):
         server, store = server
         assert single_reply(exchange_raw(server.port, head, end_write=False)) == status
         assert store.keys() == [] and server.request_log == []
         assert tracebacks == []
+
+    def test_line_without_words_is_a_quiet_close(self, server, tracebacks):
+        """A request line that splits into no words: U+0085 is whitespace to str.split()."""
+        server, _ = server
+        assert exchange_raw(server.port, b"\x85\r\n") == b""
+        assert server.request_log == [] and tracebacks == []
 
     def test_short_put_body_is_not_stored(self, server, tracebacks):
         server, store = server
@@ -675,7 +730,7 @@ FIELDS = st.sampled_from([
 def test_any_request_head_gets_one_reply_or_a_close(server, tracebacks, line, fields):
     server, _ = server
     replies = exchange_raw(server.port, b"".join(f + b"\r\n" for f in [line, *fields]) + b"\r\n")
-    if len(line.decode("latin-1").split()) >= 3:  # fewer words is an HTTP/0.9 request or none
+    if line.decode("latin-1").split():  # a line of no words is closed without a reply
         single_reply(replies)
     assert tracebacks == []
 
