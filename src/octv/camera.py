@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import crypto
 from .clocks import SimClock
@@ -46,6 +47,9 @@ _EV_BOUNDARY = 0
 _EV_UPLOAD = 1
 _EV_BEACON = 2
 _EV_TOKEN = 3
+
+# orders events by due time, then priority; an event's third field does not compare
+_DUE_THEN_PRIORITY = itemgetter(0, 1)
 
 _BACKOFF_CAP_S = 30.0
 
@@ -294,6 +298,8 @@ class _LiveSegment:
     seq: int
     start_t: float
     files: list[_StreamFile]  # main first, then tier when tiering
+    beacon: bytes  # the encoded beacon advert, the same all segment long
+    token_adverts: list[bytes] | None = None  # encoded token advert of each chunk
     buffer: bytearray = field(default_factory=bytearray)
 
 
@@ -430,7 +436,7 @@ class CameraRuntime:
             candidates.append((entry[0], _EV_UPLOAD, entry))
         if not candidates:
             return None
-        return min(candidates, key=lambda c: (c[0], c[1]))
+        return min(candidates, key=_DUE_THEN_PRIORITY)
 
     def _dispatch(self, event: tuple[float, int, tuple | None]) -> None:
         when, priority, entry = event
@@ -495,12 +501,16 @@ class CameraRuntime:
             packet = KeyPacket(key=key, seq=self._seq, reconnect_interval_s=config.segment_interval_s,
                                video_id=self._fresh_video_id(), prev_hash_prefix=prev_hash)
             files.append(_StreamFile(stream, packet))
+        beacon = encode_advertisement(Beacon(camera_id=config.camera_id, seq=self._seq))
+        self._segment = _LiveSegment(seq=self._seq, start_t=t, files=files, beacon=beacon)
         if config.chunking is not None:
-            files[0].tokens = [
-                crypto.ChunkToken(crypto.generate_token(), i, files[0].packet.video_id)
-                for i in range(config.chunking.chunk_count)
+            video_id = files[0].packet.video_id
+            files[0].tokens = [crypto.ChunkToken(crypto.generate_token(), i, video_id)
+                               for i in range(config.chunking.chunk_count)]
+            self._segment.token_adverts = [
+                encode_advertisement(TokenAnnouncement(video_id, token.chunk_index, token.token))
+                for token in files[0].tokens
             ]
-        self._segment = _LiveSegment(seq=self._seq, start_t=t, files=files)
         self._boundary_t = t + config.segment_interval_s
         self._next_beacon_t = t
         self._emit_beacon(t)
@@ -599,8 +609,7 @@ class CameraRuntime:
     # -- broadcast ----------------------------------------------------------
 
     def _emit_beacon(self, t: float) -> None:
-        beacon = Beacon(camera_id=self.config.camera_id, seq=self._segment.seq)
-        self.handle.advertise(encode_advertisement(beacon))
+        self.handle.advertise(self._segment.beacon)
         self._next_beacon_t = t + self.config.advert_interval_ms / 1000.0
 
     def _current_chunk_index(self, t: float) -> int:
@@ -610,12 +619,7 @@ class CameraRuntime:
         return min(int(elapsed / chunk_duration), chunking.chunk_count - 1)
 
     def _emit_token(self, t: float) -> None:
-        index = self._current_chunk_index(t)
-        main = self._segment.files[0]
-        announcement = TokenAnnouncement(
-            video_id=main.packet.video_id, chunk_index=index, token=main.tokens[index].token
-        )
-        self.handle.advertise(encode_advertisement(announcement))
+        self.handle.advertise(self._segment.token_adverts[self._current_chunk_index(t)])
         self._next_token_t = t + self.config.chunking.token_advert_interval_ms / 1000.0
 
     def _resolve_characteristic(self, suffix: int) -> bytes:

@@ -468,6 +468,9 @@ class Listener:
         self.clock = clock
         self._descriptors: dict[bytes, CameraDescriptor] = {}
         self._last_seq: dict[bytes, int] = {}
+        # (sender, advert kind byte) -> the last such payload fully handled;
+        # handling it again would change nothing, so it is not decoded
+        self._handled: dict[tuple[bytes, bytes], bytes] = {}
         peer.on_advertisement(self._on_advertisement)
 
     def _descriptor(self, camera_address: bytes) -> CameraDescriptor:
@@ -478,6 +481,9 @@ class Listener:
         return self._descriptors[camera_address]
 
     def _on_advertisement(self, sender: bytes, payload: bytes, t: float) -> None:
+        handled_key = (sender, payload[:1])
+        if self._handled.get(handled_key) == payload:
+            return
         try:
             advert = decode_advertisement(payload)
         except ProtocolError:
@@ -504,5 +510,6 @@ class Listener:
                     video_id=advert.video_id,
                 )
                 self.wallet.add_token(token, t)
+            self._handled[handled_key] = payload
         except (UnreachableError, NoSuchCharacteristicError, ProtocolError):
             return  # out of range mid-exchange, or not a well-formed camera; try next beacon

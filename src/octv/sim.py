@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 from .camera import CameraConfig, CameraRuntime, ChunkingConfig, SyntheticFrameSource
@@ -54,6 +53,29 @@ class Trajectory:
                 f = (t - t0) / (t1 - t0)
                 return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
         return (points[-1][1], points[-1][2])
+
+    def positions(self, times):
+        """``position_at(t)`` for each ``t`` of ``times``, which must not decrease.
+
+        A cursor walks the waypoints forward once, so a long path costs
+        no more per step than a short one. It leaves a leg only once
+        ``t`` is past the leg's end, so ``t`` on a waypoint time takes the
+        same leg, and the same float, as :meth:`position_at`.
+        """
+        points = self.waypoints
+        first, last = points[0], points[-1]
+        i = 0
+        for t in times:
+            if t <= first[0]:
+                yield (first[1], first[2])
+            elif t >= last[0]:
+                yield (last[1], last[2])
+            else:
+                while t > points[i + 1][0]:
+                    i += 1
+                (t0, x0, y0), (t1, x1, y1) = points[i], points[i + 1]
+                f = (t - t0) / (t1 - t0)
+                yield (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
 
 
 @dataclass(frozen=True)
@@ -259,18 +281,6 @@ class _SegmentWindow:
     chunk_count: int  # 0 for the single-key scheme
 
 
-def participant_addresses(scenario: Scenario) -> tuple[list[bytes], list[bytes]]:
-    """Transport addresses assigned to cameras then subjects, in order.
-
-    Join order is deterministic, so log analysis can tie addresses back
-    to scenario participants without touching simulator internals.
-    """
-    n = len(scenario.cameras)
-    cameras = [struct.pack(">HI", 0x0200, 1 + i) for i in range(n)]
-    subjects = [struct.pack(">HI", 0x0200, 1 + n + j) for j in range(len(scenario.subjects))]
-    return cameras, subjects
-
-
 def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTransport]:
     """Step the deployment through time and measure key bleed.
 
@@ -306,6 +316,8 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
 
     dt = scenario.timestep_s
     steps = int(round(scenario.duration_s / dt))
+    walks = [subject.trajectory.positions(k * dt for k in range(steps))
+             for subject in scenario.subjects]
     # in-view sample steps per (subject index, camera index)
     view_samples: dict[tuple[int, int], set[int]] = {
         (si, ci): set() for si in range(len(peers)) for ci in range(len(runtimes))
@@ -316,8 +328,8 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
     for k in range(steps):
         t = k * dt
         clock.advance_to(t)
-        for si, (subject, peer) in enumerate(zip(scenario.subjects, peers)):
-            position = subject.trajectory.position_at(t)
+        for si, (walk, peer) in enumerate(zip(walks, peers)):
+            position = next(walk)
             peer.set_position(position)
             for ci in cells.get(grid_cell(position, cell_m), ()):
                 if in_view(scenario.cameras[ci], position):

@@ -670,14 +670,3 @@ def fetch_url(url: str, timeout: float = 5.0) -> bytes:
     if status != 200:
         raise OctvError(f"fetch failed with status {status}")
     return data
-
-
-class LocalStoreFetcher:
-    """Fetcher resolving URLs directly against an in-process store."""
-
-    def __init__(self, store):
-        self.store = store
-
-    def __call__(self, url: str) -> bytes:
-        tail = urlsplit(url).path.rsplit("/", 1)[-1]
-        return self.store.get(ObjectKey.from_path(tail))

@@ -8,12 +8,15 @@ Two backends share one duck-typed peer surface:
   draws are keyed by (seed, sender, receiver, emission index) so
   enlarging a radius never flips a previously delivered advertisement.
   Listeners are indexed by grid cell, so an advert only tests the peers
-  in the cells its disc overlaps.
+  in the cells its disc overlaps; a listener that moves changes cell in
+  place, without a rebuild.
 * :class:`UdpBusPeer` — local datagram sockets plus a
   registry directory, for multi-process demos. Semantics match the
   in-process loopback mode (infinite radius, zero loss).
 """
 
+import bisect
+import functools
 import hashlib
 import math
 import os
@@ -29,6 +32,8 @@ from .errors import NoSuchCharacteristicError, ProtocolError, UnreachableError
 from .protocol import MAX_ADVERT_LEN
 
 ADDRESS_LEN = 6
+
+_ORDER = attrgetter("_order")
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class RangeModel:
             raise ValueError(f"loss_probability must be in [0,1], got {self.loss_probability}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TransportRecord:
     """One line of the delivery log."""
 
@@ -70,11 +75,17 @@ class TransportRecord:
         )
 
 
+@functools.lru_cache(maxsize=4096)
+def _loss_prefix(seed: int, sender: bytes, receiver: bytes):
+    """SHA-256 fed one pair's part of every loss draw; callers copy it."""
+    return hashlib.sha256(struct.pack(">q", seed) + sender + receiver)
+
+
 def _loss_draw(seed: int, sender: bytes, receiver: bytes, emission_index: int) -> float:
     """Deterministic uniform draw in [0,1) for one delivery attempt."""
-    material = struct.pack(">q", seed) + sender + receiver + struct.pack(">Q", emission_index)
-    digest = hashlib.sha256(material).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+    h = _loss_prefix(seed, sender, receiver).copy()
+    h.update(struct.pack(">Q", emission_index))
+    return int.from_bytes(h.digest()[:8], "big") / 2**64
 
 
 def grid_cell(position, width: float) -> tuple[int, int]:
@@ -109,6 +120,8 @@ class SimPeer:
         self._characteristics = None
         self._emissions = 0
         self._order = len(transport._peers)  # join order: delivery order of one advert
+        self._cell = None  # grid cell key while indexed as a positioned listener
+        self._disc = None  # as a sender: the grid's cell lists that its disc overlaps
 
     @property
     def position(self):
@@ -116,13 +129,13 @@ class SimPeer:
 
     def set_position(self, position) -> None:
         # the one way to move: the broker's grid must hear of it
-        self._position = position
-        self._transport._cells = None
+        self._transport._move(self, position)
 
     def on_advertisement(self, callback) -> None:
         """Register scan callback(sender_address, payload, t)."""
-        self._scan_cb = callback
-        self._transport._cells = None
+        with self._transport._lock:
+            self._scan_cb = callback
+            self._transport._cells = None
 
     def serve_characteristics(self, resolver) -> None:
         """Register resolver(suffix) -> bytes for incoming reads."""
@@ -149,10 +162,12 @@ class SimTransport:
         self._by_address: dict[bytes, SimPeer] = {}
         self._next_address = 1
         self._lock = threading.RLock()
-        # Uniform grid of the listening peers, rebuilt lazily: cell key ->
-        # positioned peers in join order, plus the unpositioned ones. A
-        # cell is as wide as the largest radius joined, so a disc overlaps
-        # few cells.
+        # Uniform grid of the listening peers: cell key -> positioned peers
+        # in join order, plus the unplaced ones. A cell is as wide as the
+        # largest radius joined, so a disc overlaps few cells. A move within
+        # the grid changes cell in place; anything else that alters it
+        # (a callback, a move to or from no position, a wider radius)
+        # drops it for a rebuild at the next advert.
         self._cell_m = 0.0
         self._cells: dict[tuple[int, int], list[SimPeer]] | None = None
         self._unplaced: list[SimPeer] = []
@@ -170,10 +185,27 @@ class SimTransport:
             peer = SimPeer(self, address, kind, position, range_model)
             self._peers.append(peer)
             self._by_address[address] = peer
-            if range_model is not None:
-                self._cell_m = max(self._cell_m, range_model.radius_m)
-            self._cells = None
+            if range_model is not None and range_model.radius_m > self._cell_m:
+                self._cell_m = range_model.radius_m
+                self._cells = None
             return peer
+
+    def _move(self, peer: SimPeer, position) -> None:
+        with self._lock:
+            old = peer._position
+            peer._position = position
+            peer._disc = None  # a sender's disc moves with it
+            cells = self._cells
+            if cells is None or peer._scan_cb is None:
+                return
+            if old is None or position is None:
+                self._cells = None
+                return
+            key = grid_cell(position, self._cell_m)
+            if key != peer._cell:
+                cells[peer._cell].remove(peer)
+                bisect.insort(cells.setdefault(key, []), peer, key=_ORDER)
+                peer._cell = key
 
     def _in_range(self, sender: SimPeer, receiver: SimPeer) -> bool:
         if sender.range_model is None:
@@ -192,13 +224,12 @@ class SimTransport:
             emission = sender._emissions
             sender._emissions += 1
             t = self.clock.now()
-            targets = self._candidates(sender)
+            reached = self._reached(sender)
         model = sender.range_model
-        for receiver in targets:
-            if not self._in_range(sender, receiver):
-                continue  # never reached a radio: nothing to log
+        lossy = model is not None and model.loss_probability > 0.0
+        for receiver in reached:
             delivered = True
-            if model is not None and model.loss_probability > 0.0:
+            if lossy:
                 draw = _loss_draw(
                     self.seed ^ model.rng_seed, sender.address, receiver.address, emission
                 )
@@ -209,36 +240,53 @@ class SimTransport:
             if delivered:
                 receiver._scan_cb(sender.address, payload, t)
 
-    def _candidates(self, sender: SimPeer) -> list[SimPeer]:
-        """Listening peers that may be in range of ``sender``, in join order.
+    def _reached(self, sender: SimPeer) -> list[SimPeer]:
+        """Listening peers in range of ``sender``, in join order.
 
-        A positioned sender with a finite radius takes the positioned
-        peers in the cells its disc overlaps, plus every unpositioned
-        peer; any other sender takes every listening peer.
+        Only these get a log line for the advert. A positioned sender with
+        a finite radius tests the positioned peers in the cells its disc
+        overlaps; an unpositioned peer is always in range; a sender with
+        no model or no position reaches every listening peer.
         """
         model = sender.range_model
-        if model is None or sender._position is None or not math.isfinite(model.radius_m):
+        if model is None or sender._position is None:
             return [p for p in self._peers if p is not sender and p._scan_cb is not None]
-        if self._cells is None:
-            self._index()
-        targets = [p for p in self._unplaced if p is not sender]
-        for key in disc_cells(sender._position, model.radius_m, self._cell_m):
-            for p in self._cells.get(key, ()):
-                if p is not sender:
-                    targets.append(p)
-        targets.sort(key=attrgetter("_order"))
-        return targets
+        radius = model.radius_m
+        if math.isfinite(radius):
+            if self._cells is None:
+                self._index()
+            if sender._disc is None:
+                cells = self._cells
+                sender._disc = [cells.setdefault(key, [])
+                                for key in disc_cells(sender._position, radius, self._cell_m)]
+            unplaced, nearby = self._unplaced, sender._disc
+        else:
+            listening = [p for p in self._peers if p._scan_cb is not None]
+            unplaced = [p for p in listening if p._position is None]
+            nearby = [[p for p in listening if p._position is not None]]
+        reached = [p for p in unplaced if p is not sender]
+        sx, sy = sender._position
+        hypot = math.hypot
+        for cell in nearby:
+            for p in cell:
+                rx, ry = p._position
+                if hypot(sx - rx, sy - ry) <= radius and p is not sender:
+                    reached.append(p)
+        reached.sort(key=_ORDER)
+        return reached
 
     def _index(self) -> None:
         cells: dict[tuple[int, int], list[SimPeer]] = {}
         unplaced = []
         for peer in self._peers:
+            peer._disc = None  # it holds lists of the grid being replaced
             if peer._scan_cb is None:
                 continue
             if peer._position is None:
                 unplaced.append(peer)
             else:
-                cells.setdefault(grid_cell(peer._position, self._cell_m), []).append(peer)
+                peer._cell = grid_cell(peer._position, self._cell_m)
+                cells.setdefault(peer._cell, []).append(peer)
         self._cells, self._unplaced = cells, unplaced
 
     def _read(self, reader: SimPeer, target_address: bytes, suffix: int) -> bytes:

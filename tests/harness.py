@@ -1,17 +1,29 @@
 """Shared end-to-end plumbing: a full camera/store/client pipeline run."""
 
 from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 from octv.camera import CameraConfig, CameraRuntime, ChunkingConfig, SyntheticFrameSource
 from octv.client import Listener, Wallet
 from octv.clocks import SimClock
 from octv.errors import OctvError
 from octv.protocol import CameraDescriptor, Coordinates, Mode
-from octv.store import MemoryObjectStore
+from octv.store import MemoryObjectStore, ObjectKey
 from octv.transport import SimTransport
 
 DEFAULT_SEED = 42
 DEFAULT_RATE = 1000
+
+
+class LocalStoreFetcher:
+    """Fetcher resolving URLs directly against an in-process store."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def __call__(self, url: str) -> bytes:
+        tail = urlsplit(url).path.rsplit("/", 1)[-1]
+        return self.store.get(ObjectKey.from_path(tail))
 
 
 class RecordingStore:

@@ -7,9 +7,22 @@ interval. It shares no code with the production report builder.
 """
 
 import math
+import struct
 
 from octv.protocol import decode_key_packet
-from octv.sim import participant_addresses
+
+
+def participant_addresses(scenario):
+    """Transport addresses assigned to cameras then subjects, in order.
+
+    ``run_scenario`` joins the cameras, then the subjects, and the broker
+    numbers joins from 1 under the 0x0200 prefix, so the log's addresses
+    tie back to scenario participants without touching simulator internals.
+    """
+    n = len(scenario.cameras)
+    cameras = [struct.pack(">HI", 0x0200, 1 + i) for i in range(n)]
+    subjects = [struct.pack(">HI", 0x0200, 1 + n + j) for j in range(len(scenario.subjects))]
+    return cameras, subjects
 
 
 def oracle_position(waypoints, t):

@@ -1,6 +1,6 @@
 import pytest
 
-from harness import FlakyStore, make_config, run_pipeline
+from harness import FlakyStore, LocalStoreFetcher, make_config, run_pipeline
 from octv.camera import (
     CameraRuntime,
     SyntheticFrameSource,
@@ -110,7 +110,6 @@ class TestAutoMode:
 
     def test_plaintext_matches_source_stream(self):
         from octv.client import fetch_and_decrypt
-        from octv.store import LocalStoreFetcher
 
         pipeline = run_pipeline(segments=3, segment_interval_s=2, rate=1000)
         fetcher = LocalStoreFetcher(pipeline.store)
@@ -357,7 +356,6 @@ class TestCharacteristicSurface:
 class TestTiering:
     def test_reduced_stream_uploaded_alongside(self):
         from octv.crypto import decrypt_segment
-        from octv.store import LocalStoreFetcher
 
         pipeline = run_pipeline(segments=2, tiering=True, rate=1000)
         main = [r for r in pipeline.camera.records if r.stream == "main"]
@@ -425,7 +423,6 @@ class TestChunkedCamera:
 
     def test_client_recovers_chunked_segment_with_all_tokens(self):
         from octv.client import fetch_and_decrypt
-        from octv.store import LocalStoreFetcher
 
         pipeline = run_pipeline(
             segments=1, chunk_count=4, segment_interval_s=2, token_advert_interval_ms=500

@@ -4,8 +4,9 @@ import zlib
 
 import pytest
 
-from harness import make_descriptor, run_pipeline
+from harness import LocalStoreFetcher, make_descriptor, run_pipeline
 from octv import cli
+from octv import client as client_module
 from octv.client import (
     GapRule,
     Listener,
@@ -38,11 +39,12 @@ from octv.protocol import (
     Coordinates,
     KeyPacket,
     Mode,
+    TokenAnnouncement,
     encode_advertisement,
     encode_characteristic,
     encode_key_packet,
 )
-from octv.store import LocalStoreFetcher, MemoryObjectStore, ObjectKey
+from octv.store import MemoryObjectStore, ObjectKey
 from octv.transport import SimTransport
 
 
@@ -600,7 +602,56 @@ class TestAnonymity:
             assert token.token not in written
 
 
+class CountingRadio:
+    """A listener's peer that serves fixed characteristics and counts reads."""
+
+    def __init__(self, values):
+        self.values = values
+        self.reads = 0
+        self.deliver = None
+
+    def on_advertisement(self, callback):
+        self.deliver = callback
+
+    def read_characteristic(self, address, suffix):
+        self.reads += 1
+        if suffix not in self.values:
+            raise NoSuchCharacteristicError(f"characteristic {suffix:#06x} not served")
+        return self.values[suffix]
+
+
 class TestListenerBehaviour:
+    def test_repeated_advert_is_skipped_before_decoding(self, monkeypatch):
+        decoded = []
+        decode = client_module.decode_advertisement
+        monkeypatch.setattr(client_module, "decode_advertisement",
+                            lambda data: decoded.append(data) or decode(data))
+        values = {which: encode_characteristic(make_descriptor(), which) for which in DESCRIPTOR_CHARS}
+        radio = CountingRadio(values)
+        wallet = Wallet()
+        Listener(wallet, radio, SimClock(0.0))
+        camera, other = b"\xca" + bytes(5), b"\xcb" + bytes(5)
+        beacon = encode_advertisement(Beacon(bytes(8), 1))
+
+        def hear(sender, payload):
+            radio.deliver(sender, payload, 0.0)
+            return radio.reads, len(decoded)
+
+        assert hear(camera, beacon) == (5, 1)  # descriptor, then a key packet not served
+        values[CHAR_KEY_PACKET] = encode_key_packet(make_record().packet)
+        assert hear(camera, beacon) == (6, 2)  # a failed beacon is tried again
+        assert hear(camera, beacon) == (6, 2)  # a handled one: no read, no decode
+        # the same seq under another camera id: decoded, then dropped by seq
+        assert hear(camera, encode_advertisement(Beacon(b"\x01" * 8, 1))) == (6, 3)
+        assert hear(camera, encode_advertisement(Beacon(bytes(8), 2))) == (7, 4)  # new seq
+        assert hear(camera, beacon) == (8, 5)  # not the last beacon handled any more
+        assert hear(other, beacon) == (13, 6)  # the cache is per sender
+        token = TokenAnnouncement(video_id=bytes(8), chunk_index=0, token=bytes(range(16)))
+        assert hear(camera, encode_advertisement(token)) == (13, 7)
+        assert hear(camera, encode_advertisement(token)) == (13, 7)
+        assert hear(camera, beacon) == (13, 7)  # beacons and tokens are cached apart
+        assert len(wallet.records) == 2 and len(wallet.token_receipts()) == 1
+
     def test_rebroadcast_does_not_duplicate(self):
         # advert interval far shorter than segment: many beacons per seq
         pipeline = run_pipeline(segments=2, segment_interval_s=2, advert_interval_ms=100)

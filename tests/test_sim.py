@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octv.errors import ConfigError
 from octv.sim import (
@@ -9,7 +12,6 @@ from octv.sim import (
     compare_granularity,
     in_view,
     load_scenario,
-    participant_addresses,
     run_scenario,
     scenario_from_dict,
 )
@@ -45,7 +47,7 @@ def fig4_scenario(radius=10.0, duration=120, interval=60, subjects=None, chunk_c
     )
 
 
-from sim_oracle import assert_report_matches_oracle
+from sim_oracle import assert_report_matches_oracle, participant_addresses
 
 
 class TestGeometry:
@@ -89,6 +91,20 @@ class TestGeometry:
     def test_waypoint_times_strictly_increasing(self):
         with pytest.raises(ConfigError):
             Trajectory(((0, 0, 0), (0, 1, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cursor_matches_position_at(self, data):
+        # waypoints before, on and between steps, and past the last step
+        dt = data.draw(st.sampled_from([0.1, 0.25, 1 / 3, 1.0, 2.5]))
+        on_a_step = st.integers(-3, 90).map(lambda k: k * dt)
+        times = data.draw(st.lists(st.one_of(on_a_step, st.floats(-5.0, 150.0)),
+                                   min_size=1, max_size=8, unique=True))
+        coord = st.floats(-1e3, 1e3)
+        trajectory = Trajectory(tuple((t, data.draw(coord), data.draw(coord)) for t in sorted(times)))
+        steps = data.draw(st.integers(1, 120))
+        walk = list(trajectory.positions(k * dt for k in range(steps)))
+        assert walk == [trajectory.position_at(k * dt) for k in range(steps)]
 
 
 class TestBleed:
@@ -342,6 +358,17 @@ class TestCityScale:
         totals = report.totals
         assert totals["tokens_received"] > 0
         assert 0 < totals["bleed_keys"] < totals["keys_received"]
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "d01b36e0173c33b3302fb0f00573740caf00b1aa66133fb2f01e89d4f608d4fb"),
+        (8, "30872d7e669cfd1428aad6c654ab24c987f3c0cc285a1fb4154912f52fdbbac2"),
+    ])
+    def test_report_bytes_are_pinned(self, seed, digest):
+        # a change to stepping, fan-out, loss draws or codecs that keeps
+        # the report must keep it byte for byte
+        report, _ = run_scenario(city_block_scenario(), seed=seed)
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestScenarioFile:

@@ -25,12 +25,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import octv
+from harness import LocalStoreFetcher
 from octv import store as store_module
 from octv.errors import ConflictError, NotFoundError, OctvError, ProtocolError
 from octv.store import (
     FsObjectStore,
     HttpStoreClient,
-    LocalStoreFetcher,
     MemoryObjectStore,
     ObjectKey,
     StoreServer,

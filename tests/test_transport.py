@@ -1,8 +1,11 @@
+import math
 import os
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octv import transport as transport_module
 from octv.clocks import SimClock
@@ -131,6 +134,34 @@ class TestDeterminismAndMonotonicity:
         delivered_large = {line.rsplit(" ", 1)[0] for line in large if line.endswith(" 1")}
         assert delivered_small <= delivered_large
 
+    @pytest.mark.parametrize("args, draw", [
+        ((0, bytes(6), bytes(6), 0), "0x1.d6efd8a0e6be5p-3"),
+        ((7 ^ 3, bytes.fromhex("020000000001"), bytes.fromhex("020000000002"), 39),
+         "0x1.37542a6526c20p-1"),
+        ((-5, b"\xff" * 6, bytes.fromhex("010203040506"), 2**40 + 17), "0x1.903effe671184p-1"),
+    ])
+    def test_loss_draws_are_pinned(self, args, draw):
+        # every delivery log ever written depends on these exact values
+        assert transport_module._loss_draw(*args) == float.fromhex(draw)
+
+
+# Multiples of 2.5 m lie on cell edges for every radius below, so moves
+# cross edges and some distances equal a radius exactly.
+COORDS = st.one_of(st.integers(-12, 12).map(lambda k: k * 2.5), st.floats(-31.0, 31.0))
+POSITIONS = st.one_of(st.none(), st.tuples(COORDS, COORDS))
+GRID_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("camera"), POSITIONS,
+                  st.sampled_from([2.5, 5.0, 10.0, 12.5, 40.0, math.inf]),
+                  st.sampled_from([0.0, 0.5])),
+        st.tuples(st.just("listener"), POSITIONS, st.booleans()),
+        st.tuples(st.just("listen"), st.integers(0, 63)),
+        st.tuples(st.just("move"), st.integers(0, 63), POSITIONS),
+        st.tuples(st.just("advert"), st.integers(0, 63)),
+    ),
+    max_size=60,
+)
+
 
 class TestGridIndex:
     """The broker only tests listeners in the cells an advert's disc
@@ -222,6 +253,66 @@ class TestGridIndex:
         delivered = [r.receiver for r in transport.log if r.delivered]
         assert heard == delivered
         assert len(delivered) < len(transport.log)  # some adverts were lost
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=GRID_OPS)
+    @example(ops=[("camera", (0.0, 0.0), 5.0, 0.0), ("listener", (30.0, 0.0), True),
+                  ("advert", 0), ("move", 0, (30.0, 2.5)), ("advert", 0)])
+    def test_adverts_match_brute_force_scan(self, ops):
+        # joins, moves across cell edges and to or from no position, late
+        # registrations and adverts, in any order
+        seed = 11
+        transport = SimTransport(clock=SimClock(0.0), seed=seed)
+        peers, cameras, heard = [], [], []
+        position, listening, emissions = {}, set(), {}
+
+        def join(kind, at, model=None):
+            peer = transport.join(kind, position=at, range_model=model)
+            peers.append(peer)
+            position[peer.address] = at
+            return peer
+
+        def listen(peer):
+            peer.on_advertisement(lambda sender, payload, t: heard.append(peer.address))
+            listening.add(peer.address)
+
+        def advertise(sender):
+            emission = emissions.get(sender.address, 0)
+            emissions[sender.address] = emission + 1
+            model = sender.range_model
+            expected = []
+            for peer in peers:  # every peer, in join order
+                if peer is sender or peer.address not in listening:
+                    continue
+                a, b = position[sender.address], position[peer.address]
+                if a is not None and b is not None and math.hypot(
+                        a[0] - b[0], a[1] - b[1]) > model.radius_m:
+                    continue
+                draw = transport_module._loss_draw(
+                    seed ^ model.rng_seed, sender.address, peer.address, emission)
+                expected.append((peer.address, draw >= model.loss_probability))
+            logged, heard_before = len(transport.log), len(heard)
+            sender.advertise(b"x")
+            assert [(r.receiver, r.delivered) for r in transport.log[logged:]] == expected
+            assert heard[heard_before:] == [address for address, ok in expected if ok]
+
+        for kind, *args in ops:
+            if kind == "camera":
+                at, radius, loss = args
+                model = RangeModel(radius_m=radius, loss_probability=loss, rng_seed=len(peers))
+                cameras.append(join("camera", at, model))
+            elif kind == "listener":
+                peer = join("listener", args[0])
+                if args[1]:
+                    listen(peer)
+            elif kind == "listen" and peers:
+                listen(peers[args[0] % len(peers)])
+            elif kind == "move" and peers:
+                peer = peers[args[0] % len(peers)]
+                peer.set_position(args[1])
+                position[peer.address] = args[1]
+            elif kind == "advert" and cameras:
+                advertise(cameras[args[0] % len(cameras)])
 
 
 class TestCharacteristicReads:
