@@ -43,24 +43,15 @@ class Trajectory:
             raise ConfigError("waypoint times must be strictly increasing")
 
     def position_at(self, t: float) -> tuple[float, float]:
-        points = self.waypoints
-        if t <= points[0][0]:
-            return (points[0][1], points[0][2])
-        if t >= points[-1][0]:
-            return (points[-1][1], points[-1][2])
-        for (t0, x0, y0), (t1, x1, y1) in zip(points, points[1:]):
-            if t0 <= t <= t1:
-                f = (t - t0) / (t1 - t0)
-                return (x0 + f * (x1 - x0), y0 + f * (y1 - y0))
-        return (points[-1][1], points[-1][2])
+        return next(self.positions((t,)))
 
     def positions(self, times):
-        """``position_at(t)`` for each ``t`` of ``times``, which must not decrease.
+        """The position at each ``t`` of ``times``, which must not decrease.
 
         A cursor walks the waypoints forward once, so a long path costs
         no more per step than a short one. It leaves a leg only once
         ``t`` is past the leg's end, so ``t`` on a waypoint time takes the
-        same leg, and the same float, as :meth:`position_at`.
+        leg that ends there.
         """
         points = self.waypoints
         first, last = points[0], points[-1]

@@ -16,7 +16,6 @@ Two backends share one duck-typed peer surface:
 """
 
 import bisect
-import functools
 import hashlib
 import math
 import os
@@ -75,17 +74,21 @@ class TransportRecord:
         )
 
 
-@functools.lru_cache(maxsize=4096)
 def _loss_prefix(seed: int, sender: bytes, receiver: bytes):
-    """SHA-256 fed one pair's part of every loss draw; callers copy it."""
+    """SHA-256 fed one pair's part of every loss draw; draws copy it."""
     return hashlib.sha256(struct.pack(">q", seed) + sender + receiver)
+
+
+def _draw(prefix, emission_index: int) -> float:
+    """Uniform draw in [0,1) from a pair's prefix and an emission index."""
+    h = prefix.copy()
+    h.update(struct.pack(">Q", emission_index))
+    return int.from_bytes(h.digest()[:8], "big") / 2**64
 
 
 def _loss_draw(seed: int, sender: bytes, receiver: bytes, emission_index: int) -> float:
     """Deterministic uniform draw in [0,1) for one delivery attempt."""
-    h = _loss_prefix(seed, sender, receiver).copy()
-    h.update(struct.pack(">Q", emission_index))
-    return int.from_bytes(h.digest()[:8], "big") / 2**64
+    return _draw(_loss_prefix(seed, sender, receiver), emission_index)
 
 
 def grid_cell(position, width: float) -> tuple[int, int]:
@@ -171,6 +174,8 @@ class SimTransport:
         self._cell_m = 0.0
         self._cells: dict[tuple[int, int], list[SimPeer]] | None = None
         self._unplaced: list[SimPeer] = []
+        # (seed, sender, receiver) -> _loss_prefix, made at the pair's first draw
+        self._loss_prefixes: dict[tuple[int, bytes, bytes], object] = {}
 
     def join(self, kind: str, position=None, address: bytes | None = None,
              range_model: RangeModel | None = None) -> SimPeer:
@@ -227,13 +232,17 @@ class SimTransport:
             reached = self._reached(sender)
         model = sender.range_model
         lossy = model is not None and model.loss_probability > 0.0
+        if lossy:
+            seed = self.seed ^ model.rng_seed
+            prefixes = self._loss_prefixes
         for receiver in reached:
             delivered = True
             if lossy:
-                draw = _loss_draw(
-                    self.seed ^ model.rng_seed, sender.address, receiver.address, emission
-                )
-                delivered = draw >= model.loss_probability
+                pair = (seed, sender.address, receiver.address)
+                prefix = prefixes.get(pair)
+                if prefix is None:
+                    prefix = prefixes[pair] = _loss_prefix(*pair)
+                delivered = _draw(prefix, emission) >= model.loss_probability
             self.log.append(
                 TransportRecord("adv", t, sender.address, receiver.address, payload, delivered)
             )

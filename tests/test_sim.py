@@ -47,7 +47,7 @@ def fig4_scenario(radius=10.0, duration=120, interval=60, subjects=None, chunk_c
     )
 
 
-from sim_oracle import assert_report_matches_oracle, participant_addresses
+from sim_oracle import assert_report_matches_oracle, oracle_position, participant_addresses
 
 
 class TestGeometry:
@@ -94,7 +94,7 @@ class TestGeometry:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_cursor_matches_position_at(self, data):
+    def test_cursor_matches_oracle_position(self, data):
         # waypoints before, on and between steps, and past the last step
         dt = data.draw(st.sampled_from([0.1, 0.25, 1 / 3, 1.0, 2.5]))
         on_a_step = st.integers(-3, 90).map(lambda k: k * dt)
@@ -104,7 +104,7 @@ class TestGeometry:
         trajectory = Trajectory(tuple((t, data.draw(coord), data.draw(coord)) for t in sorted(times)))
         steps = data.draw(st.integers(1, 120))
         walk = list(trajectory.positions(k * dt for k in range(steps)))
-        assert walk == [trajectory.position_at(k * dt) for k in range(steps)]
+        assert walk == [oracle_position(trajectory.waypoints, k * dt) for k in range(steps)]
 
 
 class TestBleed:
