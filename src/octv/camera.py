@@ -7,6 +7,7 @@ previous segment's hash prefix) goes on the air; at each boundary the
 segment is sealed, hashed and dispatched per the availability mode.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ from .errors import (
     OctvError,
 )
 from .protocol import (
+    CAMERA_ID_LEN,
     CHAR_KEY_PACKET,
     CHAR_TIER_KEY_PACKET,
     DESCRIPTOR_CHARS,
@@ -36,6 +38,8 @@ from .protocol import (
     encode_advertisement,
     encode_characteristic,
     encode_key_packet,
+    parse_video_id,
+    url_extension,
 )
 from .store import ObjectKey
 from .transport import UdpBusPeer
@@ -171,8 +175,10 @@ class CameraConfig:
     bus_dir: str | None = None
 
     def __post_init__(self):
-        if len(self.camera_id) != 8:
-            raise ConfigError(f"camera_id must be 8 bytes, got {len(self.camera_id)}")
+        if len(self.camera_id) != CAMERA_ID_LEN:
+            raise ConfigError(
+                f"camera_id must be {CAMERA_ID_LEN} bytes, got {len(self.camera_id)}"
+            )
         if not 1 <= self.segment_interval_s <= 0xFFFF:
             raise ConfigError(
                 f"segment_interval_s must be 1-65535 (it is broadcast as the reconnect "
@@ -185,7 +191,12 @@ class CameraConfig:
 
     @property
     def extension(self) -> str:
-        return "jpg" if self.descriptor.url_template.endswith(".jpg") else "mp4"
+        return url_extension(self.descriptor.url_template)
+
+
+def camera_id_for(name: str) -> bytes:
+    """The camera id derived from a camera's name when none is configured."""
+    return hashlib.sha256(name.encode("utf-8")).digest()[:CAMERA_ID_LEN]
 
 
 def build_frame_source(config: CameraConfig):
@@ -198,8 +209,37 @@ def build_frame_source(config: CameraConfig):
     raise ConfigError(f"unknown source kind {config.source_kind!r}")
 
 
+_REQUIRED = object()
+
+
+def config_value(values: dict, key: str, convert=str, default=_REQUIRED):
+    """``convert(values[key])``, or ``default`` when absent; a ConfigError names a bad key."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"expected an object of keys and values, got {type(values).__name__}")
+    if key not in values:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    try:
+        return convert(values[key])
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
+def _location(text: str) -> "Coordinates | str":
+    if text.startswith("text:"):
+        return text[len("text:") :]
+    if "," in text:
+        lat, lon = text.split(",")
+        return Coordinates(float(lat), float(lon))
+    return text
+
+
 def parse_camera_config(path) -> CameraConfig:
-    """Load the documented key=value camera configuration file."""
+    """Load the documented key=value camera configuration file.
+
+    An empty value counts as absent; a bad one is a ConfigError naming file and key.
+    """
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -213,62 +253,34 @@ def parse_camera_config(path) -> CameraConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        if value.strip():
+            values[key.strip()] = value.strip()
 
-    def need(key: str) -> str:
-        if key not in values or not values[key]:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return values[key]
-
-    name = need("name")
-    mode = Mode.from_name(values.get("mode", "auto"))
-    raw_location = values.get("location", "")
-    location: Coordinates | str
-    if raw_location.startswith("text:"):
-        location = raw_location[len("text:") :]
-    elif "," in raw_location:
-        lat, lon = raw_location.split(",")
-        location = Coordinates(float(lat), float(lon))
-    else:
-        location = raw_location or "unspecified"
-    descriptor = CameraDescriptor(
-        name=name, mode=mode, location=location, url_template=need("url_template")
-    )
-
-    camera_id_hex = values.get("camera_id", "")
-    if camera_id_hex:
-        camera_id = bytes.fromhex(camera_id_hex)
-    else:
-        camera_id = hashlib.sha256(name.encode("utf-8")).digest()[:8]
-
-    chunk_count = int(values.get("chunk_count", "0"))
-    chunking = None
-    if chunk_count > 0:
-        chunking = ChunkingConfig(
-            chunk_count=chunk_count,
-            token_advert_interval_ms=int(values.get("token_advert_interval_ms", "500")),
+    get = functools.partial(config_value, values)
+    try:
+        name = get("name")
+        mode = get("mode", Mode.from_name, Mode.AUTO)
+        descriptor = CameraDescriptor(name=name, mode=mode, url_template=get("url_template"),
+                                      location=get("location", _location, "unspecified"))
+        chunk_count = get("chunk_count", int, 0)
+        chunking = (ChunkingConfig(chunk_count, get("token_advert_interval_ms", int, 500))
+                    if chunk_count > 0 else None)
+        return CameraConfig(
+            descriptor=descriptor, mode=mode, chunking=chunking,
+            camera_id=get("camera_id", bytes.fromhex, None) or camera_id_for(name),
+            segment_interval_s=get("segment_interval_s", int),
+            advert_interval_ms=get("advert_interval_ms", int, 1000),
+            delay_s=get("delay_s", int, 0),
+            tiering=get("tiering", lambda v: v.lower() in ("true", "1", "yes"), False),
+            store_target=get("store", default=""), source_kind=get("source", default="synthetic"),
+            source_seed=get("seed", int, 0), source_rate=get("rate_bytes_per_s", int, 1000),
+            source_duration_s=get("duration_s", float, None),
+            source_path=values.get("source_path"),
+            withheld_budget_bytes=get("withheld_budget_bytes", int, 64 * 1024 * 1024),
+            control_dir=values.get("control_dir"), bus_dir=values.get("bus_dir"),
         )
-
-    duration = values.get("duration_s", "")
-    return CameraConfig(
-        descriptor=descriptor,
-        camera_id=camera_id,
-        segment_interval_s=int(need("segment_interval_s")),
-        advert_interval_ms=int(values.get("advert_interval_ms", "1000")),
-        mode=mode,
-        delay_s=int(values.get("delay_s", "0")),
-        chunking=chunking,
-        tiering=values.get("tiering", "false").lower() in ("true", "1", "yes"),
-        store_target=values.get("store", ""),
-        source_kind=values.get("source", "synthetic"),
-        source_seed=int(values.get("seed", "0")),
-        source_rate=int(values.get("rate_bytes_per_s", "1000")),
-        source_duration_s=float(duration) if duration else None,
-        source_path=values.get("source_path") or None,
-        withheld_budget_bytes=int(values.get("withheld_budget_bytes", str(64 * 1024 * 1024))),
-        control_dir=values.get("control_dir") or None,
-        bus_dir=values.get("bus_dir") or None,
-    )
+    except (ConfigError, ValueError) as exc:  # ValueError: a descriptor field out of range
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -647,14 +659,12 @@ class CameraRuntime:
                     self._stopped = True
                     outcome = "ok"
                 elif stem.startswith("release-"):
-                    self.release_segment(bytes.fromhex(stem[len("release-") :]))
+                    self.release_segment(parse_video_id(stem[len("release-") :]))
                     outcome = "ok"
                 else:
                     outcome = "err unknown request"
             except OctvError as exc:
                 outcome = f"err {exc}"
-            except ValueError:
-                outcome = "err bad video id"
             os.unlink(path)
             with open(os.path.join(control, stem + ".resp"), "w", encoding="utf-8") as fh:
                 fh.write(outcome + "\n")

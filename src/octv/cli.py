@@ -16,9 +16,9 @@ from . import client as client_mod
 from . import sim as sim_mod
 from .camera import CameraRuntime, build_frame_source, parse_camera_config
 from .clocks import RealClock
-from .crypto import ZERO_HASH_PREFIX, verify_chain
+from .crypto import verify_chain
 from .errors import ConfigError, NotFoundError, OctvError, ProtocolError
-from .protocol import decode_key_packet
+from .protocol import decode_key_packet, parse_video_id, url_extension
 from .store import FsObjectStore, ObjectKey, StoreServer, fetch_url, open_store
 from .transport import SimTransport, UdpBusPeer
 
@@ -67,12 +67,7 @@ def cmd_camera_release(args) -> int:
         control = parse_camera_config(args.config).control_dir
     if not control:
         raise ConfigError("release needs --control DIR or a config with control_dir")
-    try:
-        video_id = bytes.fromhex(args.id)
-    except ValueError:
-        raise ProtocolError(f"video id must be hex: {args.id!r}") from None
-    if len(video_id) != 8:
-        raise ProtocolError(f"video id must be 16 hex chars, got {len(args.id)}")
+    video_id = parse_video_id(args.id)
     os.makedirs(control, exist_ok=True)
     stem = f"release-{video_id.hex()}"
     response_path = os.path.join(control, stem + ".resp")
@@ -168,11 +163,7 @@ def cmd_client_export(args) -> int:
 
 def cmd_client_fetch(args) -> int:
     wallet = client_mod.import_wallet(args.wallet)
-    try:
-        video_id = bytes.fromhex(args.id)
-    except ValueError:
-        raise ProtocolError(f"video id must be hex: {args.id!r}") from None
-    record = wallet.record_for_video(video_id)
+    record = wallet.record_for_video(parse_video_id(args.id))
     if record is None:
         raise NotFoundError(f"no wallet record for video {args.id}")
     result = client_mod.fetch_and_decrypt(wallet, record, fetch_url)
@@ -201,22 +192,18 @@ def cmd_verify_chain(args) -> int:
     unverified = []
     for address in sorted(wallet.by_camera):
         for record in sorted(wallet.by_camera[address], key=lambda r: r.received_at):
-            data = None
-            for extension in ("mp4", "jpg"):
-                path = os.path.join(args.dir, ObjectKey(record.packet.video_id, extension).path)
-                if os.path.exists(path):
-                    with open(path, "rb") as fh:
-                        data = fh.read()
-                    break
-            if data is None:
+            video_id = record.packet.video_id
+            key = ObjectKey(video_id, url_extension(record.descriptor.url_template))
+            path = os.path.join(args.dir, key.path)
+            if not os.path.exists(path):
                 continue  # withheld or not fetched
             successor = wallet.successor_of(record)
-            if successor is None and record.packet.prev_hash_prefix != ZERO_HASH_PREFIX:
-                unverified.append(record.packet.video_id)
+            if successor is None:  # only the successor's packet vouches for a file
+                unverified.append(video_id)
                 continue
-            # a chain start held alone is judged by its own zero sentinel
-            items.append((data, (successor or record).packet))
-            labels.append(record.packet.video_id)
+            with open(path, "rb") as fh:
+                items.append((fh.read(), successor.packet))
+            labels.append(video_id)
 
     report = verify_chain(items)
     for video_id, status in zip(labels, report.statuses):

@@ -5,6 +5,7 @@ surface between cameras, listening clients, and third-party tools.
 All multi-byte integers are big-endian.
 """
 
+import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -12,13 +13,24 @@ from urllib.parse import urlsplit
 
 from .errors import ProtocolError
 
-KEY_PACKET_LEN = 64
 KEY_LEN = 32
 VIDEO_ID_LEN = 8
 HASH_PREFIX_LEN = 21
 CAMERA_ID_LEN = 8
 TOKEN_LEN = 16
 MAX_ADVERT_LEN = 31  # legacy advertisement payload budget
+FOOTAGE_EXTENSIONS = ("mp4", "jpg")
+
+# Wire layouts, the one source of every offset and length. The dataclasses
+# below list their fields in layout order, after an advert's kind byte.
+_KEY_PACKET = struct.Struct(f">{KEY_LEN}sBH{VIDEO_ID_LEN}s{HASH_PREFIX_LEN}s")
+_BEACON = struct.Struct(f">B{CAMERA_ID_LEN}sB")  # kind, camera_id, seq
+_TOKEN_ADVERT = struct.Struct(f">B{VIDEO_ID_LEN}sH{TOKEN_LEN}s")  # kind, video_id, chunk, token
+_LOCATION = struct.Struct(">Bdd")  # kind, latitude, longitude
+KEY_PACKET_LEN = _KEY_PACKET.size
+
+# A video id's text form: its bytes as hex digits, either case.
+_VIDEO_ID_TEXT = re.compile(f"[0-9a-fA-F]{{{2 * VIDEO_ID_LEN}}}")
 
 # Service UUID prefix; characteristics append a 16-bit suffix.
 UUID_PREFIX = "cc92cc92-ca19-0000-0000-00000000"
@@ -66,11 +78,7 @@ class Coordinates:
 
 @dataclass(frozen=True)
 class KeyPacket:
-    """The 64-byte broadcast unit granting access to one segment.
-
-    Layout: key (0-31), seq (32), reconnect_interval_s (33-34, BE),
-    video_id (35-42), prev_hash_prefix (43-63).
-    """
+    """The 64-byte broadcast unit granting access to one segment; fields in wire order."""
 
     key: bytes
     seq: int
@@ -95,26 +103,15 @@ class KeyPacket:
 
 def encode_key_packet(packet: KeyPacket) -> bytes:
     """Serialize a key packet to its exact 64-byte wire form."""
-    return (
-        packet.key
-        + struct.pack(">BH", packet.seq, packet.reconnect_interval_s)
-        + packet.video_id
-        + packet.prev_hash_prefix
-    )
+    return _KEY_PACKET.pack(packet.key, packet.seq, packet.reconnect_interval_s,
+                            packet.video_id, packet.prev_hash_prefix)
 
 
 def decode_key_packet(data: bytes) -> KeyPacket:
     """Parse a 64-byte wire packet; inverse of :func:`encode_key_packet`."""
-    if len(data) != KEY_PACKET_LEN:
-        raise ProtocolError(f"malformed key packet: expected 64 bytes, got {len(data)}")
-    seq, ri = struct.unpack(">BH", data[32:35])
-    return KeyPacket(
-        key=bytes(data[0:32]),
-        seq=seq,
-        reconnect_interval_s=ri,
-        video_id=bytes(data[35:43]),
-        prev_hash_prefix=bytes(data[43:64]),
-    )
+    if len(data) != _KEY_PACKET.size:
+        raise ProtocolError(f"key packet must be {_KEY_PACKET.size} bytes, got {len(data)}")
+    return KeyPacket(*_KEY_PACKET.unpack(data))
 
 
 def characteristic_uuid(suffix: int) -> str:
@@ -144,25 +141,34 @@ class CameraDescriptor:
             raise ValueError(f"name must be 1-64 UTF-8 bytes, got {len(encoded)}")
         if isinstance(self.location, str) and len(self.location.encode("utf-8")) > 256:
             raise ValueError("location description exceeds 256 UTF-8 bytes")
-        _validate_url_template(self.url_template)
+        url_extension(self.url_template)
 
 
-def _validate_url_template(template: str) -> None:
+def url_extension(template: str) -> str:
+    """Validate a URL template; return the footage extension its URL path ends in."""
     if template.count("{id}") != 1:
         raise ProtocolError(
             f"url template must contain exactly one '{{id}}' placeholder: {template!r}"
         )
-    sample = template.replace("{id}", "0" * 16)
-    parts = urlsplit(sample)
+    parts = urlsplit(template.replace("{id}", "0" * (2 * VIDEO_ID_LEN)))
     if not parts.scheme:
         raise ProtocolError(f"url template does not form a valid URL: {template!r}")
-    if not (parts.path.endswith(".mp4") or parts.path.endswith(".jpg")):
+    _, dot, extension = parts.path.rpartition(".")
+    if not dot or extension not in FOOTAGE_EXTENSIONS:
         raise ProtocolError(f"url template extension must be .mp4 or .jpg: {template!r}")
+    return extension
+
+
+def parse_video_id(text: str) -> bytes:
+    """The video id whose text form is ``text``: exactly 16 hex digits, either case."""
+    if not _VIDEO_ID_TEXT.fullmatch(text):
+        raise ProtocolError(f"video id must be {2 * VIDEO_ID_LEN} hex digits, got {text!r}")
+    return bytes.fromhex(text)
 
 
 def format_video_url(template: str, video_id: bytes) -> str:
     """Substitute the 16-hex-char video id into the URL template."""
-    _validate_url_template(template)
+    url_extension(template)
     if len(video_id) != VIDEO_ID_LEN:
         raise ProtocolError(f"video_id must be {VIDEO_ID_LEN} bytes, got {len(video_id)}")
     return template.replace("{id}", video_id.hex())
@@ -170,17 +176,11 @@ def format_video_url(template: str, video_id: bytes) -> str:
 
 def parse_video_url(url: str, template: str) -> bytes:
     """Recover the video id from a URL built with :func:`format_video_url`."""
-    _validate_url_template(template)
+    url_extension(template)
     prefix, suffix = template.split("{id}")
     if not (url.startswith(prefix) and url.endswith(suffix)):
         raise ProtocolError(f"url does not match template: {url!r}")
-    middle = url[len(prefix) : len(url) - len(suffix)] if suffix else url[len(prefix) :]
-    if len(middle) != 2 * VIDEO_ID_LEN:
-        raise ProtocolError(f"video id field must be 16 hex chars, got {len(middle)}")
-    try:
-        return bytes.fromhex(middle)
-    except ValueError:
-        raise ProtocolError(f"video id field is not hex: {middle!r}") from None
+    return parse_video_id(url.removeprefix(prefix).removesuffix(suffix))
 
 
 def encode_characteristic(descriptor: CameraDescriptor, which: int) -> bytes:
@@ -196,7 +196,7 @@ def encode_characteristic(descriptor: CameraDescriptor, which: int) -> bytes:
     if which == CHAR_LOCATION:
         loc = descriptor.location
         if isinstance(loc, Coordinates):
-            return bytes([LOC_KIND_COORDINATES]) + struct.pack(">dd", loc.lat, loc.lon)
+            return _LOCATION.pack(LOC_KIND_COORDINATES, loc.lat, loc.lon)
         return bytes([LOC_KIND_TEXT]) + loc.encode("utf-8")
     if which == CHAR_URL_FORMAT:
         return descriptor.url_template.encode("utf-8")
@@ -217,14 +217,13 @@ def decode_characteristic(which: int, data: bytes):
     if which == CHAR_LOCATION:
         if not data:
             raise ProtocolError("empty location value")
-        kind, rest = data[0], data[1:]
+        kind = data[0]
         if kind == LOC_KIND_COORDINATES:
-            if len(rest) != 16:
-                raise ProtocolError(f"coordinates need 16 bytes, got {len(rest)}")
-            lat, lon = struct.unpack(">dd", rest)
-            return Coordinates(lat, lon)
+            if len(data) != _LOCATION.size:
+                raise ProtocolError(f"location must be {_LOCATION.size} bytes, got {len(data)}")
+            return Coordinates(*_LOCATION.unpack(data)[1:])
         if kind == LOC_KIND_TEXT:
-            return _decode_utf8(rest, "location")
+            return _decode_utf8(data[1:], "location")
         raise ProtocolError(f"unknown location kind byte {kind:#04x}")
     if which == CHAR_URL_FORMAT:
         return _decode_utf8(data, "url template")
@@ -280,31 +279,23 @@ Advertisement = Beacon | TokenAnnouncement
 def encode_advertisement(adv: Advertisement) -> bytes:
     """Serialize an advertisement; result always fits the 31-byte budget."""
     if isinstance(adv, Beacon):
-        return bytes([ADV_KIND_BEACON]) + adv.camera_id + bytes([adv.seq])
+        return _BEACON.pack(ADV_KIND_BEACON, adv.camera_id, adv.seq)
     if isinstance(adv, TokenAnnouncement):
-        return (
-            bytes([ADV_KIND_TOKEN])
-            + adv.video_id
-            + struct.pack(">H", adv.chunk_index)
-            + adv.token
-        )
+        return _TOKEN_ADVERT.pack(ADV_KIND_TOKEN, adv.video_id, adv.chunk_index, adv.token)
     raise ProtocolError(f"unknown advertisement type {type(adv).__name__}")
+
+
+# advert kind byte -> the advert's class and layout
+_ADVERTS = {ADV_KIND_BEACON: (Beacon, _BEACON), ADV_KIND_TOKEN: (TokenAnnouncement, _TOKEN_ADVERT)}
 
 
 def decode_advertisement(data: bytes) -> Advertisement:
     """Parse an advertisement payload; inverse of :func:`encode_advertisement`."""
     if not data:
         raise ProtocolError("empty advertisement")
-    kind = data[0]
-    if kind == ADV_KIND_BEACON:
-        if len(data) != 10:
-            raise ProtocolError(f"beacon advert must be 10 bytes, got {len(data)}")
-        return Beacon(camera_id=bytes(data[1:9]), seq=data[9])
-    if kind == ADV_KIND_TOKEN:
-        if len(data) != 27:
-            raise ProtocolError(f"token advert must be 27 bytes, got {len(data)}")
-        (chunk_index,) = struct.unpack(">H", data[9:11])
-        return TokenAnnouncement(
-            video_id=bytes(data[1:9]), chunk_index=chunk_index, token=bytes(data[11:27])
-        )
-    raise ProtocolError(f"unknown advertisement kind byte {kind:#04x}")
+    if data[0] not in _ADVERTS:
+        raise ProtocolError(f"unknown advertisement kind byte {data[0]:#04x}")
+    cls, layout = _ADVERTS[data[0]]
+    if len(data) != layout.size:
+        raise ProtocolError(f"{cls.__name__} advert must be {layout.size} bytes, got {len(data)}")
+    return cls(*layout.unpack(data)[1:])

@@ -15,12 +15,20 @@ Identical (scenario, seed) inputs produce byte-identical reports.
 
 import csv
 import dataclasses
-import hashlib
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
-from .camera import CameraConfig, CameraRuntime, ChunkingConfig, SyntheticFrameSource
+from .camera import (
+    CameraConfig,
+    CameraRuntime,
+    ChunkingConfig,
+    SyntheticFrameSource,
+    camera_id_for,
+    config_value,
+)
 from .client import Listener, Wallet
 from .clocks import SimClock
 from .errors import ConfigError
@@ -38,8 +46,12 @@ class Trajectory:
     def __post_init__(self):
         if not self.waypoints:
             raise ConfigError("trajectory needs at least one waypoint")
-        times = [w[0] for w in self.waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        try:
+            times, xs, ys = zip(*self.waypoints, strict=True)
+            sum(times + xs + ys, 0.0)  # a TypeError unless every value is a number
+        except (TypeError, ValueError):
+            raise ConfigError(f"waypoints must be [t, x, y] numbers: {self.waypoints!r}") from None
+        if not all(map(operator.lt, times, times[1:])):
             raise ConfigError("waypoint times must be strictly increasing")
 
     def position_at(self, t: float) -> tuple[float, float]:
@@ -81,6 +93,8 @@ class SimCamera:
     config: CameraConfig
 
     def __post_init__(self):
+        if len(self.position) != 2 or not all(isinstance(v, (int, float)) for v in self.position):
+            raise ConfigError(f"position must be [x, y] numbers, got {self.position!r}")
         if not 0 < self.fov_deg <= 360:
             raise ConfigError(f"fov_deg must be in (0, 360], got {self.fov_deg}")
         if self.view_depth_m <= 0:
@@ -125,60 +139,50 @@ _DEFAULT_URL_TEMPLATE = "https://footage.example/{id}.mp4"
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    cameras = []
-    for i, cam in enumerate(data.get("cameras", [])):
-        name = cam.get("name", f"camera-{i}")
-        chunk_count = int(cam.get("chunk_count", 0))
-        chunking = None
-        if chunk_count > 0:
-            chunking = ChunkingConfig(
-                chunk_count=chunk_count,
-                token_advert_interval_ms=int(cam.get("token_advert_interval_ms", 1000)),
+    """The scenario of a parsed scenario file; a bad value is a ConfigError naming its key."""
+    where = ""
+    try:
+        top = functools.partial(config_value, data)
+        cameras = []
+        for i, cam in enumerate(top("cameras", list, [])):
+            where = f"cameras[{i}]: "
+            get = functools.partial(config_value, cam)
+            name = get("name", str, f"camera-{i}")
+            position = get("position", tuple)
+            mode = get("mode", Mode.from_name, Mode.AUTO)
+            chunk_count = get("chunk_count", int, 0)
+            chunking = (ChunkingConfig(chunk_count, get("token_advert_interval_ms", int, 1000))
+                        if chunk_count > 0 else None)
+            descriptor = CameraDescriptor(name, mode, f"sim ({', '.join(map(str, position))})",
+                                          get("url_template", str, _DEFAULT_URL_TEMPLATE))
+            config = CameraConfig(
+                descriptor=descriptor, camera_id=camera_id_for(name), mode=mode,
+                segment_interval_s=get("segment_interval_s", int),
+                advert_interval_ms=get("advert_interval_ms", int, 1000),
+                delay_s=get("delay_s", int, 0), chunking=chunking,
+                tiering=get("tiering", bool, False),
             )
-        config = CameraConfig(
-            descriptor=CameraDescriptor(
-                name=name,
-                mode=Mode.from_name(cam.get("mode", "auto")),
-                location=f"sim ({cam['position'][0]}, {cam['position'][1]})",
-                url_template=cam.get("url_template", _DEFAULT_URL_TEMPLATE),
-            ),
-            camera_id=hashlib.sha256(name.encode("utf-8")).digest()[:8],
-            segment_interval_s=int(cam["segment_interval_s"]),
-            advert_interval_ms=int(cam.get("advert_interval_ms", 1000)),
-            mode=Mode.from_name(cam.get("mode", "auto")),
-            delay_s=int(cam.get("delay_s", 0)),
-            chunking=chunking,
-            tiering=bool(cam.get("tiering", False)),
-        )
-        radio = cam.get("radio", {})
-        cameras.append(
-            SimCamera(
-                position=tuple(cam["position"]),
-                orientation_deg=float(cam.get("orientation_deg", 0.0)),
-                fov_deg=float(cam.get("fov_deg", 90.0)),
-                view_depth_m=float(cam.get("view_depth_m", 10.0)),
-                radio=RangeModel(
-                    radius_m=float(radio.get("radius_m", 10.0)),
-                    loss_probability=float(radio.get("loss_probability", 0.0)),
-                    rng_seed=int(radio.get("rng_seed", 0)),
-                ),
-                config=config,
-            )
-        )
-    subjects = tuple(
-        Subject(
-            name=sub.get("name", f"subject-{i}"),
-            trajectory=Trajectory(tuple(tuple(w) for w in sub["waypoints"])),
-            trusted=bool(sub.get("trusted", True)),
-        )
-        for i, sub in enumerate(data.get("subjects", []))
-    )
-    return Scenario(
-        duration_s=float(data["duration_s"]),
-        timestep_s=float(data.get("timestep_s", 1.0)),
-        cameras=tuple(cameras),
-        subjects=subjects,
-    )
+            radio = functools.partial(config_value, get("radio", dict, {}))
+            radio_model = RangeModel(radio("radius_m", float, 10.0),
+                                     radio("loss_probability", float, 0.0),
+                                     radio("rng_seed", int, 0))
+            cameras.append(SimCamera(
+                position=position, orientation_deg=get("orientation_deg", float, 0.0),
+                fov_deg=get("fov_deg", float, 90.0), view_depth_m=get("view_depth_m", float, 10.0),
+                radio=radio_model, config=config,
+            ))
+        subjects = []
+        for i, sub in enumerate(top("subjects", list, [])):
+            where = f"subjects[{i}]: "
+            get = functools.partial(config_value, sub)
+            waypoints = get("waypoints", lambda points: tuple(map(tuple, points)))
+            subjects.append(Subject(get("name", str, f"subject-{i}"), Trajectory(waypoints),
+                                    get("trusted", bool, True)))
+        where = ""
+        return Scenario(top("duration_s", float), tuple(cameras), tuple(subjects),
+                        top("timestep_s", float, 1.0))
+    except (ConfigError, ValueError) as exc:  # ValueError: a descriptor or radio value
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -189,7 +193,10 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid scenario JSON: {exc}") from None
-    return scenario_from_dict(data)
+    try:
+        return scenario_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # -- execution --------------------------------------------------------------

@@ -27,8 +27,9 @@ from http import HTTPStatus
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConflictError, NotFoundError, OctvError, ProtocolError
+from .protocol import FOOTAGE_EXTENSIONS, VIDEO_ID_LEN
 
-_OBJECT_RE = re.compile(r"^([0-9a-f]{16})\.(mp4|jpg)$")
+_OBJECT_RE = re.compile(rf"^([0-9a-f]{{{2 * VIDEO_ID_LEN}}})\.({'|'.join(FOOTAGE_EXTENSIONS)})$")
 
 
 class ObjectKey:
@@ -37,9 +38,9 @@ class ObjectKey:
     __slots__ = ("video_id", "extension")
 
     def __init__(self, video_id: bytes, extension: str = "mp4"):
-        if len(video_id) != 8:
-            raise ValueError(f"video_id must be 8 bytes, got {len(video_id)}")
-        if extension not in ("mp4", "jpg"):
+        if len(video_id) != VIDEO_ID_LEN:
+            raise ValueError(f"video_id must be {VIDEO_ID_LEN} bytes, got {len(video_id)}")
+        if extension not in FOOTAGE_EXTENSIONS:
             raise ValueError(f"extension must be mp4 or jpg, got {extension!r}")
         self.video_id = video_id
         self.extension = extension

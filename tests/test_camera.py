@@ -18,6 +18,7 @@ from octv.protocol import (
     CHAR_TIER_KEY_PACKET,
     Mode,
     decode_key_packet,
+    format_video_url,
 )
 from octv.store import MemoryObjectStore, ObjectKey
 from octv.transport import SimTransport
@@ -125,6 +126,17 @@ class TestAutoMode:
             assert record.state == "uploaded"
             assert record.container == b""
 
+    def test_object_extension_is_the_url_path_extension(self):
+        template = "https://h/{id}.jpg?v=1"
+        pipeline = run_pipeline(segments=2, url_template=template)
+        stored = sorted(key.path for key in pipeline.store.keys())
+        named = sorted(
+            format_video_url(template, r.packet.video_id).split("/")[-1].split("?")[0]
+            for r in pipeline.wallet.records[:2]
+        )
+        assert stored == named
+        assert all(path.endswith(".jpg") for path in stored)
+
     def test_seq_wraps_255_to_0(self):
         pipeline = run_pipeline(segments=0, run=False, segment_interval_s=1, rate=64)
         pipeline.config.source_duration_s = 3
@@ -192,6 +204,20 @@ class TestManualMode:
         record = next(r for r in camera.records if r.video_id == withheld_id)
         assert record.state == "uploaded"
         assert record.container == b""
+
+    def test_control_release_takes_the_video_id_text_form(self, tmp_path):
+        pipeline = run_pipeline(segments=3, mode=Mode.MANUAL, run=False)
+        pipeline.config.control_dir = str(tmp_path)
+        camera = pipeline.camera
+        camera.advance_to(2.5)
+        text = next(iter(camera._withheld)).hex()
+        spaced = text[:12] + "  " + text[14:]  # 16 characters, not 16 hex digits
+        (tmp_path / f"release-{spaced}.req").write_text("release\n")
+        (tmp_path / f"release-{text.upper()}.req").write_text("release\n")
+        camera._poll_control()
+        assert "hex digits" in (tmp_path / f"release-{spaced}.resp").read_text()
+        assert (tmp_path / f"release-{text.upper()}.resp").read_text() == "ok\n"
+        assert pipeline.store.contains(ObjectKey(bytes.fromhex(text), "mp4"))
 
     def test_release_unknown_id(self):
         pipeline = run_pipeline(segments=2, mode=Mode.MANUAL, run=False)

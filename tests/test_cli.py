@@ -14,7 +14,8 @@ import urllib.request
 import pytest
 
 from harness import run_pipeline
-from octv.client import Wallet, export_wallet
+from octv import cli
+from octv.client import export_wallet, import_wallet
 from octv.store import FsObjectStore
 
 VECTOR_HEX = "11" * 32 + "05" + "003c" + "0102030405060708" + "aa" * 21
@@ -34,6 +35,18 @@ def spawn(*args):
     )
 
 
+def stop(proc) -> int:
+    """SIGTERM a spawned command and reap it; returns its exit code.
+
+    Its stdout is closed by the :class:`LineReader` draining it, at EOF.
+    """
+    proc.send_signal(signal.SIGTERM)
+    try:
+        return proc.wait(timeout=10)
+    finally:
+        proc.stderr.close()
+
+
 class LineReader:
     """Background reader so waiting on subprocess stdout cannot hang a test."""
 
@@ -43,8 +56,9 @@ class LineReader:
         self._thread.start()
 
     def _pull(self, stream):
-        for line in stream:
-            self.lines.put(line.rstrip("\n"))
+        with stream:
+            for line in stream:
+                self.lines.put(line.rstrip("\n"))
 
     def wait_for(self, predicate, timeout: float):
         deadline = time.monotonic() + timeout
@@ -205,6 +219,15 @@ class TestClientFetch:
         assert "chain ok" in result.stdout
         assert out.read_bytes() == pipeline.source_bytes(0, 2000)
 
+    def test_fetch_rejects_a_spaced_id(self, pipeline_dir, tmp_path, capsys):
+        store_dir, pipeline = pipeline_dir
+        text = pipeline.wallet.records[0].packet.video_id.hex()
+        argv = ["client", "fetch", text[:12] + "  " + text[14:],
+                "--wallet", str(store_dir / "wallet.txt"), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ProtocolError: video id must be 16 hex")
+        assert not (tmp_path / "x").exists()
+
     def test_fetch_unknown_id(self, pipeline_dir, tmp_path):
         store_dir, _ = pipeline_dir
         result = octv(
@@ -224,7 +247,7 @@ class TestClientExport:
         )
         assert result.returncode == 0
         assert f"exported {len(pipeline.wallet.records)} records" in result.stdout
-        imported = Wallet(out)
+        imported = import_wallet(out)
         assert [r.packet for r in imported.records] == [
             r.packet for r in pipeline.wallet.records
         ]
@@ -257,13 +280,14 @@ class TestStoreServe:
                 assert response.read() == b"payload"
             with pytest.raises(urllib.error.HTTPError) as not_found:
                 urllib.request.urlopen(f"{base_url}/{'bb' * 8}.mp4", timeout=5)
+            not_found.value.close()
             assert not_found.value.code == 404
             with pytest.raises(urllib.error.HTTPError) as bad:
                 urllib.request.urlopen(f"{base_url}/nonsense", timeout=5)
+            bad.value.close()
             assert bad.value.code == 400
         finally:
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == 0
+            assert stop(proc) == 0
 
 
 class TestCameraRun:
@@ -287,8 +311,7 @@ class TestCameraRun:
         reader = LineReader(proc.stdout)
         reader.wait_for(lambda l: '"start"' in l, timeout=10)
         time.sleep(1.5)
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
+        assert stop(proc) == 0
 
     def test_missing_store_is_config_error(self, tmp_path):
         config = tmp_path / "camera.conf"
@@ -323,8 +346,7 @@ class TestCameraRelease:
             assert missing.returncode == 1
             assert "no withheld segment" in missing.stderr
         finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
+            stop(proc)
 
     def test_release_in_auto_mode_rejected(self, tmp_path):
         store_dir = tmp_path / "objects"
@@ -341,8 +363,14 @@ class TestCameraRelease:
             assert result.returncode == 1
             assert "manual mode" in result.stderr
         finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
+            stop(proc)
+
+    @pytest.mark.parametrize("text", ["001122334455  66", "0011223344556677 ", "00112233"])
+    def test_malformed_id_is_refused_before_any_request(self, tmp_path, capsys, text):
+        control = tmp_path / "control"
+        assert cli.main(["camera", "release", text, "--control", str(control)]) == 1
+        assert capsys.readouterr().err.startswith("error: ProtocolError: video id must be 16 hex")
+        assert not control.exists()
 
 
 class TestClientListen:
@@ -360,10 +388,9 @@ class TestClientListen:
             )
             assert listen.returncode == 0, listen.stderr
         finally:
-            camera_proc.send_signal(signal.SIGTERM)
-            camera_proc.wait(timeout=10)
+            stop(camera_proc)
 
-        wallet = Wallet(wallet_path)
+        wallet = import_wallet(wallet_path)
         assert len(wallet.records) >= 2
         record = wallet.records[0]
         assert record.descriptor.name == "cli camera"
@@ -384,6 +411,53 @@ SCENARIO = {
         {"name": "inview", "waypoints": [[0, 5, 0]]},
     ],
 }
+
+
+def without_segment_interval(scenario):
+    cameras = [{k: v for k, v in cam.items() if k != "segment_interval_s"}
+               for cam in scenario["cameras"]]
+    return {**scenario, "cameras": cameras}
+
+
+def with_waypoint(scenario, waypoint):
+    return {**scenario, "subjects": [{"name": "odd", "waypoints": [waypoint]}]}
+
+
+class TestMalformedConfig:
+    """A malformed camera config or scenario is one ``error: ConfigError:`` line
+    naming the file and the key, never a traceback."""
+
+    @pytest.mark.parametrize("override, key", [
+        ({"camera_id": "zz"}, "camera_id"),
+        ({"camera_id": "0102"}, "camera_id"),
+        ({"segment_interval_s": "two"}, "segment_interval_s"),
+        ({"location": "1, 2, 3"}, "location"),
+        ({"chunk_count": "1.5"}, "chunk_count"),
+    ])
+    def test_camera_config(self, tmp_path, capsys, override, key):
+        config = write_camera_config(tmp_path / "camera.conf", tmp_path / "objects", **override)
+        assert cli.main(["camera", "run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
+        assert str(config) in err[0] and key in err[0]
+
+    @pytest.mark.parametrize("scenario, key", [
+        (without_segment_interval(SCENARIO), "segment_interval_s"),
+        (with_waypoint(SCENARIO, [0, "a"]), "waypoints"),
+        (with_waypoint(SCENARIO, 7), "waypoints"),
+        ([SCENARIO], "list"),
+        ({**SCENARIO, "cameras": [[0, 0]]}, "cameras[0]"),
+        ({**SCENARIO, "duration_s": "long"}, "duration_s"),
+        ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "radio": 5}]}, "radio"),
+        ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "position": [1]}]}, "position"),
+    ])
+    def test_scenario(self, tmp_path, capsys, scenario, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert cli.main(["sim", "run", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
+        assert str(path) in err[0] and key in err[0]
 
 
 class TestSim:

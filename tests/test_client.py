@@ -72,15 +72,29 @@ def make_record(
     )
 
 
+@pytest.fixture
+def open_wallet():
+    """Opens file-backed wallets and closes every one of them at teardown."""
+    wallets = []
+
+    def opener(path):
+        wallets.append(Wallet(path))
+        return wallets[-1]
+
+    yield opener
+    for wallet in wallets:
+        wallet.close()
+
+
 class TestWalletPersistence:
-    def test_ingest_survives_restart(self, tmp_path):
+    def test_ingest_survives_restart(self, tmp_path, open_wallet):
         path = tmp_path / "wallet.txt"
         wallet = Wallet(path)
         record = make_record(received_at=12.5)
         assert wallet.ingest(record)
         wallet.close()
 
-        reopened = Wallet(path)
+        reopened = open_wallet(path)
         assert len(reopened.records) == 1
         loaded = reopened.records[0]
         assert loaded.packet == record.packet
@@ -88,8 +102,8 @@ class TestWalletPersistence:
         assert loaded.descriptor == record.descriptor
         assert loaded.camera_address == record.camera_address
 
-    def test_duplicate_dedup(self, tmp_path):
-        wallet = Wallet(tmp_path / "wallet.txt")
+    def test_duplicate_dedup(self, tmp_path, open_wallet):
+        wallet = open_wallet(tmp_path / "wallet.txt")
         record = make_record()
         assert wallet.ingest(record)
         duplicate = WalletRecord(
@@ -101,7 +115,7 @@ class TestWalletPersistence:
         assert not wallet.ingest(duplicate)
         assert len(wallet.records) == 1
 
-    def test_tokens_persist_and_attach(self, tmp_path):
+    def test_tokens_persist_and_attach(self, tmp_path, open_wallet):
         path = tmp_path / "wallet.txt"
         wallet = Wallet(path)
         record = make_record()
@@ -112,7 +126,7 @@ class TestWalletPersistence:
         assert not wallet.add_token(token, 2.0)  # dedup by (video, index)
         wallet.close()
 
-        reopened = Wallet(path)
+        reopened = open_wallet(path)
         assert reopened.tokens_for(video_id) == [token]
         assert reopened.tokens_for(reopened.records[0].packet.video_id) == [token]
 
@@ -146,7 +160,7 @@ class TestWalletPersistence:
         with pytest.raises(WalletError, match="line 2"):
             Wallet(path)
 
-    def test_torn_last_line_dropped(self, tmp_path):
+    def test_torn_last_line_dropped(self, tmp_path, open_wallet):
         path = tmp_path / "wallet.txt"
         wallet = Wallet(path)
         kept = make_record(seq=0)
@@ -165,7 +179,7 @@ class TestWalletPersistence:
         later = make_record(seq=2)
         assert reopened.ingest(later)
         reopened.close()
-        assert [r.packet for r in Wallet(path).records] == [kept.packet, later.packet]
+        assert [r.packet for r in open_wallet(path).records] == [kept.packet, later.packet]
 
     def test_bad_terminated_last_line_stays_fatal(self, tmp_path):
         path = tmp_path / "wallet.txt"
@@ -475,10 +489,10 @@ class TestCameraListing:
                 if not path.exists():
                     continue
                 successor = brute_successor(wallet, record)
-                if successor is None and record.packet.prev_hash_prefix != ZERO_HASH_PREFIX:
+                if successor is None:
                     unverified.append(record.packet.video_id)
                     continue
-                items.append((path.read_bytes(), (successor or record).packet))
+                items.append((path.read_bytes(), successor.packet))
                 labels.append(record.packet.video_id)
         report = verify_chain(items)
         expected = [f"{v.hex()}: {s.value}" for v, s in zip(labels, report.statuses)]
@@ -488,6 +502,31 @@ class TestCameraListing:
         assert lines[: len(expected)] == expected
         assert {ChainStatus.OK, ChainStatus.MISMATCH} <= set(report.statuses)
         assert unverified
+
+
+class TestLoneChainStart:
+    """A chain start held with no successor: nothing held vouches for its file."""
+
+    def test_verify_chain_and_fetch_both_say_unverified(self, tmp_path, capsys):
+        descriptor = make_descriptor(url_template=f"file://{tmp_path}/{{id}}.mp4")
+        packet = KeyPacket(generate_key(), 0, 60, generate_video_id(), ZERO_HASH_PREFIX)
+        wallet = Wallet()
+        wallet.ingest(WalletRecord(0.0, b"\xca" + bytes(5), descriptor, packet))
+        (tmp_path / ObjectKey(packet.video_id).path).write_bytes(
+            encrypt_segment(b"footage", packet.key)
+        )
+        export_wallet(wallet, None, tmp_path / "wallet.txt")
+        video_id = packet.video_id.hex()
+
+        assert cli.main(["verify-chain", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{video_id}: unverified (no successor packet held)", "all ok"
+        ]
+        out = tmp_path / "plain.bin"
+        argv = ["client", "fetch", video_id, "--wallet", str(tmp_path / "wallet.txt")]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"fetched {video_id}: 7 bytes, chain unverified\n"
+        assert out.read_bytes() == b"footage"
 
 
 class TestSuccessor:

@@ -24,7 +24,9 @@ from octv.protocol import (
     encode_characteristic,
     encode_key_packet,
     format_video_url,
+    parse_video_id,
     parse_video_url,
+    url_extension,
 )
 
 key_packets = st.builds(
@@ -141,6 +143,53 @@ class TestVideoUrl:
     def test_parse_non_matching(self):
         with pytest.raises(ProtocolError):
             parse_video_url("https://other.example/0011223344556677.mp4", self.TEMPLATE)
+
+    def test_parse_spaced_id(self):
+        # 16 characters, but two are spaces: not a video id's text form
+        with pytest.raises(ProtocolError):
+            parse_video_url("https://files.example/001122334455  66.mp4", self.TEMPLATE)
+
+    def test_parse_id_before_a_query(self):
+        template = "https://files.example/{id}.jpg?v=1"
+        url = "https://files.example/0011223344556677.jpg?v=1"
+        assert parse_video_url(url, template) == bytes.fromhex("0011223344556677")
+
+
+class TestVideoId:
+    @pytest.mark.parametrize("text", ["0011223344556677", "AABBCCDDEEFF0011", "aAbBcCdDeEfF0011"])
+    def test_sixteen_hex_digits_in_either_case(self, text):
+        assert parse_video_id(text) == bytes.fromhex(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "001122334455667", "00112233445566778", "001122334455  66", " 0011223344556677",
+        "0011223344556677\n", "00 11 22 33 44 55 66 77", "001122334455667g", "0x11223344556677",
+        "\u0660" * 16,  # ARABIC-INDIC DIGIT ZERO: a digit, but not a hex digit
+    ])
+    def test_anything_else_is_rejected(self, text):
+        with pytest.raises(ProtocolError, match="16 hex digits"):
+            parse_video_id(text)
+
+
+class TestUrlExtension:
+    @pytest.mark.parametrize("template, extension", [
+        ("https://files.example/{id}.mp4", "mp4"),
+        ("https://files.example/{id}.jpg", "jpg"),
+        ("https://h/{id}.jpg?v=1", "jpg"),
+        ("https://h/{id}.mp4#t=5", "mp4"),
+        ("https://h/clips.v2/{id}.jpg", "jpg"),
+        ("file:///srv/objects/{id}.mp4", "mp4"),
+        ("https://h/a.mp4?id={id}", "mp4"),
+    ])
+    def test_extension_of_the_url_path(self, template, extension):
+        assert url_extension(template) == extension
+
+    @pytest.mark.parametrize("template", [
+        "https://h/{id}.png", "https://h/{id}", "https://h/{id}mp4", "https://h/{id}?f=.mp4",
+        "https://h/video.mp4", "{id}.mp4",
+    ])
+    def test_bad_template_is_rejected(self, template):
+        with pytest.raises(ProtocolError):
+            url_extension(template)
 
 
 def make_descriptor(**overrides):

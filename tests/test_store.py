@@ -144,12 +144,14 @@ class TestHttpServer:
         server, _ = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.base_url()}/{make_key(5).path}")
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_malformed_path_is_400(self, server):
         server, _ = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{server.base_url()}/zz.mp4")
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_put_from_loopback_then_get(self, server):
