@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import crypto
-from .clocks import SimClock
 from .errors import (
     ConfigError,
     InvalidModeError,
     NotFoundError,
     NoSuchCharacteristicError,
     OctvError,
+    ProtocolError,
 )
 from .protocol import (
     CAMERA_ID_LEN,
@@ -38,11 +38,11 @@ from .protocol import (
     encode_advertisement,
     encode_characteristic,
     encode_key_packet,
+    parse_hex,
     parse_video_id,
     url_extension,
 )
 from .store import ObjectKey
-from .transport import UdpBusPeer
 
 _STREAM_BLOCK = 32  # bytes per synthetic stream block
 
@@ -211,6 +211,8 @@ def build_frame_source(config: CameraConfig):
 
 _REQUIRED = object()
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
 
 def config_value(values: dict, key: str, convert=str, default=_REQUIRED):
     """``convert(values[key])``, or ``default`` when absent; a ConfigError names a bad key."""
@@ -222,8 +224,16 @@ def config_value(values: dict, key: str, convert=str, default=_REQUIRED):
         return default
     try:
         return convert(values[key])
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError, ProtocolError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
+def config_flag(value) -> bool:
+    """A flag's value: a JSON boolean, or true/false, yes/no or 1/0 in any case."""
+    flag = value if isinstance(value, bool) else _FLAGS.get(str(value).lower())
+    if flag is None:
+        raise ValueError(f"expected true/false, yes/no or 1/0, got {value!r}")
+    return flag
 
 
 def _location(text: str) -> "Coordinates | str":
@@ -267,11 +277,11 @@ def parse_camera_config(path) -> CameraConfig:
                     if chunk_count > 0 else None)
         return CameraConfig(
             descriptor=descriptor, mode=mode, chunking=chunking,
-            camera_id=get("camera_id", bytes.fromhex, None) or camera_id_for(name),
+            camera_id=get("camera_id", parse_hex, None) or camera_id_for(name),
             segment_interval_s=get("segment_interval_s", int),
             advert_interval_ms=get("advert_interval_ms", int, 1000),
             delay_s=get("delay_s", int, 0),
-            tiering=get("tiering", lambda v: v.lower() in ("true", "1", "yes"), False),
+            tiering=get("tiering", config_flag, False),
             store_target=get("store", default=""), source_kind=get("source", default="synthetic"),
             source_seed=get("seed", int, 0), source_rate=get("rate_bytes_per_s", int, 1000),
             source_duration_s=get("duration_s", float, None),
@@ -321,19 +331,22 @@ def _stdout_events(record: dict) -> None:
 
 
 class CameraRuntime:
-    """Single recording loop owning segment state and broadcast timers."""
+    """Single recording loop owning segment state and broadcast timers.
 
-    def __init__(self, config: CameraConfig, clock, frame_source, transport, store, *,
-                 key_audit: list | None = None, video_id_source=None, event_sink=None):
+    ``peer`` has already joined its bus; waiting is its ``pump(timeout)``,
+    so an in-process broker must run on ``clock``.
+    """
+
+    def __init__(self, config: CameraConfig, clock, frame_source, peer, store, *,
+                 key_audit: list | None = None, event_sink=None):
         self.config = config
         self.clock = clock
         self.source = frame_source
-        self.transport = transport
+        self.handle = peer
         self.store = store
         self.key_audit = key_audit
-        self._video_id_source = video_id_source or crypto.generate_video_id
+        self._video_id_source = crypto.generate_video_id
         self._emit = event_sink or _stdout_events
-        self.handle = None
         self.records: list[SegmentRecord] = []
         self._segment: _LiveSegment | None = None
         self._seq = 0
@@ -351,20 +364,11 @@ class CameraRuntime:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def attach(self) -> None:
-        """Join the transport and expose the characteristic surface."""
-        if self.handle is None:
-            if hasattr(self.transport, "join"):
-                self.handle = self.transport.join("camera")
-            else:
-                self.handle = self.transport  # pre-built peer (e.g. UDP bus)
-            self.handle.serve_characteristics(self._resolve_characteristic)
-
     def start(self) -> None:
         if self._started:
             return
-        self.attach()
         self._started = True
+        self.handle.serve_characteristics(self._resolve_characteristic)
         t = self.clock.now()
         self.source.read_until(t)  # anchor the source's epoch at recording start
         self._emit({"event": "start", "t": t, "camera_id": self.config.camera_id.hex()})
@@ -387,38 +391,25 @@ class CameraRuntime:
     def run(self) -> None:
         """Record until the source exhausts or a stop is requested."""
         self.start()
-        blocking_pump = isinstance(self.handle, UdpBusPeer)
-        while not self._stopped:
-            event = self._next_event()
-            if event is None:
-                break
-            when = event[0]
-            while not self._stopped and self.clock.now() < when:
-                slice_s = min(0.25, when - self.clock.now())
-                if blocking_pump:
-                    self.handle.pump(timeout=slice_s)
-                else:
-                    self.handle.pump()
-                    self.clock.sleep(slice_s)
-                self._poll_control()
-            if self._stopped:
-                break
-            self._dispatch(event)
+        while not self._stopped and (event := self._next_event()) is not None:
+            wait = event[0] - self.clock.now()
+            if wait > 0:
+                self.handle.pump(min(0.25, wait))
+            else:
+                self.advance_to(self.clock.now())
             self._poll_control()
         self.shutdown()
 
     def advance_to(self, t: float) -> None:
-        """Process every event due at or before ``t`` (virtual clock runs)."""
+        """Process every event due at or before ``t``, moving the clock to each."""
         self.start()
         while not self._stopped:
             event = self._next_event()
             if event is None or event[0] > t:
                 break
-            if isinstance(self.clock, SimClock):
-                self.clock.advance_to(event[0])
+            self.clock.advance_to(event[0])
             self._dispatch(event)
-        if isinstance(self.clock, SimClock):
-            self.clock.advance_to(t)
+        self.clock.advance_to(t)
 
     def shutdown(self) -> None:
         """Finalize in-progress footage and flush due uploads."""

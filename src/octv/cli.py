@@ -17,8 +17,8 @@ from . import sim as sim_mod
 from .camera import CameraRuntime, build_frame_source, parse_camera_config
 from .clocks import RealClock
 from .crypto import verify_chain
-from .errors import ConfigError, NotFoundError, OctvError, ProtocolError
-from .protocol import decode_key_packet, parse_video_id, url_extension
+from .errors import ConfigError, NotFoundError, OctvError
+from .protocol import decode_key_packet, parse_hex, parse_video_id, url_extension
 from .store import FsObjectStore, ObjectKey, StoreServer, fetch_url, open_store
 from .transport import SimTransport, UdpBusPeer
 
@@ -41,13 +41,8 @@ def cmd_camera_run(args) -> int:
     if args.duration is not None and config.source_duration_s is None:
         config.source_duration_s = args.duration
     store = open_store(config.store_target)
-    if config.bus_dir:
-        transport = UdpBusPeer(config.bus_dir, "camera")
-    else:
-        transport = SimTransport()
-    runtime = CameraRuntime(
-        config, RealClock(), build_frame_source(config), transport, store
-    )
+    peer = UdpBusPeer(config.bus_dir, "camera") if config.bus_dir else SimTransport().join("camera")
+    runtime = CameraRuntime(config, RealClock(), build_frame_source(config), peer, store)
     _install_stop(runtime.request_stop)
     if args.duration is not None:
         timer = threading.Timer(args.duration + config.segment_interval_s, runtime.request_stop)
@@ -57,7 +52,7 @@ def cmd_camera_run(args) -> int:
         runtime.run()
     finally:
         if config.bus_dir:
-            transport.close()
+            peer.close()
     return 0
 
 
@@ -255,11 +250,7 @@ def cmd_sim_compare(args) -> int:
 
 
 def cmd_keypacket_decode(args) -> int:
-    try:
-        data = bytes.fromhex(args.hex)
-    except ValueError:
-        raise ProtocolError(f"not valid hex: {args.hex!r}") from None
-    packet = decode_key_packet(data)
+    packet = decode_key_packet(parse_hex(args.hex))
     print(f"key                  {packet.key.hex()}")
     print(f"seq                  {packet.seq}")
     print(f"reconnect_interval_s {packet.reconnect_interval_s}")

@@ -1,4 +1,4 @@
-"""Time sources: a real wall clock and a virtual clock for simulations."""
+"""Time sources, a wall clock and a virtual one; each offers now, sleep and advance_to."""
 
 import time
 
@@ -12,6 +12,10 @@ class RealClock:
     def sleep(self, duration: float) -> None:
         if duration > 0:
             time.sleep(duration)
+
+    def advance_to(self, t: float) -> None:
+        """Sleep until ``t``; return at once if it has passed."""
+        self.sleep(t - time.time())
 
 
 class SimClock:

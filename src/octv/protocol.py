@@ -5,6 +5,7 @@ surface between cameras, listening clients, and third-party tools.
 All multi-byte integers are big-endian.
 """
 
+import contextlib
 import re
 import struct
 from dataclasses import dataclass
@@ -29,8 +30,8 @@ _TOKEN_ADVERT = struct.Struct(f">B{VIDEO_ID_LEN}sH{TOKEN_LEN}s")  # kind, video_
 _LOCATION = struct.Struct(">Bdd")  # kind, latitude, longitude
 KEY_PACKET_LEN = _KEY_PACKET.size
 
-# A video id's text form: its bytes as hex digits, either case.
-_VIDEO_ID_TEXT = re.compile(f"[0-9a-fA-F]{{{2 * VIDEO_ID_LEN}}}")
+# The one text form of bytes: two hex digits per byte, either case.
+_HEX_TEXT = re.compile("(?:[0-9a-fA-F]{2})*")
 
 # Service UUID prefix; characteristics append a 16-bit suffix.
 UUID_PREFIX = "cc92cc92-ca19-0000-0000-00000000"
@@ -159,11 +160,19 @@ def url_extension(template: str) -> str:
     return extension
 
 
+def parse_hex(text: str) -> bytes:
+    """The bytes whose text form is ``text``: hex digit pairs only, either case."""
+    if not _HEX_TEXT.fullmatch(text):
+        raise ProtocolError(f"not valid hex: {text!r}")
+    return bytes.fromhex(text)
+
+
 def parse_video_id(text: str) -> bytes:
     """The video id whose text form is ``text``: exactly 16 hex digits, either case."""
-    if not _VIDEO_ID_TEXT.fullmatch(text):
-        raise ProtocolError(f"video id must be {2 * VIDEO_ID_LEN} hex digits, got {text!r}")
-    return bytes.fromhex(text)
+    if len(text) == 2 * VIDEO_ID_LEN:
+        with contextlib.suppress(ProtocolError):
+            return parse_hex(text)
+    raise ProtocolError(f"video id must be {2 * VIDEO_ID_LEN} hex digits, got {text!r}")
 
 
 def format_video_url(template: str, video_id: bytes) -> str:

@@ -27,6 +27,7 @@ from .camera import (
     ChunkingConfig,
     SyntheticFrameSource,
     camera_id_for,
+    config_flag,
     config_value,
 )
 from .client import Listener, Wallet
@@ -160,7 +161,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 segment_interval_s=get("segment_interval_s", int),
                 advert_interval_ms=get("advert_interval_ms", int, 1000),
                 delay_s=get("delay_s", int, 0), chunking=chunking,
-                tiering=get("tiering", bool, False),
+                tiering=get("tiering", config_flag, False),
             )
             radio = functools.partial(config_value, get("radio", dict, {}))
             radio_model = RangeModel(radio("radius_m", float, 10.0),
@@ -177,7 +178,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             get = functools.partial(config_value, sub)
             waypoints = get("waypoints", lambda points: tuple(map(tuple, points)))
             subjects.append(Subject(get("name", str, f"subject-{i}"), Trajectory(waypoints),
-                                    get("trusted", bool, True)))
+                                    get("trusted", config_flag, True)))
         where = ""
         return Scenario(top("duration_s", float), tuple(cameras), tuple(subjects),
                         top("timestep_s", float, 1.0))

@@ -151,7 +151,8 @@ class SimPeer:
         return self._transport._read(self, target_address, suffix)
 
     def pump(self, timeout: float = 0.0) -> None:
-        """No-op: the in-process broker delivers synchronously."""
+        """Sleep the broker's clock for ``timeout``: it delivers synchronously."""
+        self._transport.clock.sleep(timeout)
 
 
 class SimTransport:

@@ -158,7 +158,7 @@ def run_pipeline(
     key_audit: list = []
     events: list = []
     camera = CameraRuntime(
-        config, clock, source, transport, recording,
+        config, clock, source, transport.join("camera"), recording,
         key_audit=key_audit, event_sink=events.append,
     )
     the_wallet = wallet if wallet is not None else Wallet()

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from harness import FlakyStore, LocalStoreFetcher, make_config, run_pipeline
@@ -5,9 +7,12 @@ from octv.camera import (
     CameraRuntime,
     SyntheticFrameSource,
     build_frame_source,
+    config_flag,
+    config_value,
     parse_camera_config,
     synthetic_stream,
 )
+from octv.client import Listener, Wallet
 from octv.clocks import SimClock
 from octv.crypto import hash_prefix
 from octv.errors import ConfigError, InvalidModeError, NotFoundError, OctvError
@@ -154,7 +159,7 @@ class TestRotation:
         transport = SimTransport(clock=clock)
         source = SyntheticFrameSource(config.source_seed, config.source_rate)
         store = MemoryObjectStore()
-        runtime = CameraRuntime(config, clock, source, transport, store,
+        runtime = CameraRuntime(config, clock, source, transport.join("camera"), store,
                                 event_sink=lambda e: None)
         runtime.start()
         return runtime, clock, store
@@ -186,6 +191,63 @@ class TestRotation:
     def test_reconnect_interval_equals_segment_interval(self):
         runtime, _, _ = self.make_runtime()
         assert runtime._segment.files[0].packet.reconnect_interval_s == 2
+
+
+class StepClock:
+    """A virtual clock that is not a SimClock: it moves only when told to."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def now(self):
+        return self.t
+
+    def sleep(self, duration):
+        self.t += max(duration, 0.0)
+
+    def advance_to(self, t):
+        self.t = max(self.t, t)
+
+
+class TestOneLoop:
+    def test_advance_to_drives_any_virtual_clock(self):
+        clock = StepClock()
+        transport = SimTransport(clock=clock)
+        config = make_config(segment_interval_s=2)
+        source = SyntheticFrameSource(config.source_seed, config.source_rate)
+        camera = CameraRuntime(config, clock, source, transport.join("camera"),
+                               MemoryObjectStore(), event_sink=lambda e: None)
+        wallet = Listener(Wallet(), transport.join("listener"), clock).wallet
+        camera.advance_to(5.0)
+        assert clock.now() == 5.0
+        assert [r.received_at for r in wallet.records] == [0.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": Mode.AUTO},
+        {"mode": Mode.DELAYED, "delay_s": 3},
+        {"mode": Mode.MANUAL},
+        {"chunk_count": 4, "tiering": True},
+    ], ids=["auto", "delayed", "manual", "chunked-tiered"])
+    def test_run_matches_advance_to_then_shutdown(self, kwargs):
+        """Both drivers give the same events and records; receipt times may
+        differ, since ``run`` reaches each event in slices."""
+
+        def outcome(drive):
+            pipeline = run_pipeline(segments=3, run=False, **kwargs)
+            ids = (n.to_bytes(8, "big") for n in itertools.count(1))
+            pipeline.camera._video_id_source = lambda: next(ids)
+            drive(pipeline.camera)
+            records = [(r.video_id, r.seq, r.start_t, r.end_t, r.state, r.stream, len(r.container))
+                       for r in pipeline.camera.records]
+            return pipeline.events, records, sorted(key.path for key in pipeline.store.keys())
+
+        def advance_then_shutdown(camera):
+            camera.advance_to(3 * camera.config.segment_interval_s)
+            camera.shutdown()
+
+        ran = outcome(CameraRuntime.run)
+        assert len(ran[1]) == (6 if "tiering" in kwargs else 3)
+        assert ran == outcome(advance_then_shutdown)
 
 
 class TestManualMode:
@@ -507,8 +569,40 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_camera_config(path)
 
+    @pytest.mark.parametrize("line, key", [
+        ("tiering = on", "tiering"),
+        ("camera_id = 01 02 03 04 05 06 07 08", "camera_id"),
+        ("camera_id = 0x0102030405060708", "camera_id"),
+        ("mode = bogus", "mode"),
+    ])
+    def test_unreadable_value_names_file_and_key(self, tmp_path, line, key):
+        path = tmp_path / "camera.conf"
+        path.write_text(
+            "name = cam\n"
+            "url_template = file:///tmp/store/{id}.mp4\n"
+            "segment_interval_s = 1\n"
+            f"{line}\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_camera_config(path)
+        assert str(path) in str(info.value) and repr(key) in str(info.value)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "camera.conf"
         path.write_text("name cam\n")
         with pytest.raises(ConfigError, match="line"):
             parse_camera_config(path)
+
+
+class TestConfigFlag:
+    @pytest.mark.parametrize("value, flag", [
+        (True, True), (False, False), ("TRUE", True), ("Yes", True), ("1", True), (1, True),
+        ("false", False), ("NO", False), ("0", False), (0, False),
+    ])
+    def test_booleans_and_their_words(self, value, flag):
+        assert config_value({"tiering": value}, "tiering", config_flag) is flag
+
+    @pytest.mark.parametrize("value", ["maybe", "on", "off", "", " true", "t", 2, 1.0, None, []])
+    def test_anything_else_names_the_key(self, value):
+        with pytest.raises(ConfigError, match="'tiering'"):
+            config_value({"tiering": value}, "tiering", config_flag)

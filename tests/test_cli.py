@@ -108,6 +108,12 @@ class TestKeypacketDecode:
         assert result.returncode == 1
         assert result.stderr.startswith("error: ProtocolError:")
 
+    def test_spaced_hex_is_domain_error(self):
+        spaced = " ".join(VECTOR_HEX[i : i + 2] for i in range(0, len(VECTOR_HEX), 2))
+        result = octv("keypacket", "decode", spaced)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ProtocolError:")
+
     def test_wrong_length_is_domain_error(self):
         result = octv("keypacket", "decode", "00" * 63)
         assert result.returncode == 1
@@ -433,6 +439,7 @@ class TestMalformedConfig:
         ({"segment_interval_s": "two"}, "segment_interval_s"),
         ({"location": "1, 2, 3"}, "location"),
         ({"chunk_count": "1.5"}, "chunk_count"),
+        ({"mode": "bogus"}, "mode"),
     ])
     def test_camera_config(self, tmp_path, capsys, override, key):
         config = write_camera_config(tmp_path / "camera.conf", tmp_path / "objects", **override)
@@ -450,6 +457,8 @@ class TestMalformedConfig:
         ({**SCENARIO, "duration_s": "long"}, "duration_s"),
         ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "radio": 5}]}, "radio"),
         ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "position": [1]}]}, "position"),
+        ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "mode": "bogus"}]}, "mode"),
+        ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "tiering": "maybe"}]}, "tiering"),
     ])
     def test_scenario(self, tmp_path, capsys, scenario, key):
         path = tmp_path / "scenario.json"

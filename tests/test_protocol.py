@@ -1,9 +1,11 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import octv
 from octv.errors import ProtocolError
 from octv.protocol import (
     CHAR_LOCATION,
@@ -24,6 +26,7 @@ from octv.protocol import (
     encode_characteristic,
     encode_key_packet,
     format_video_url,
+    parse_hex,
     parse_video_id,
     parse_video_url,
     url_extension,
@@ -168,6 +171,37 @@ class TestVideoId:
     def test_anything_else_is_rejected(self, text):
         with pytest.raises(ProtocolError, match="16 hex digits"):
             parse_video_id(text)
+
+
+class TestParseHex:
+    @pytest.mark.parametrize("text", ["", "00", "0aFf", "DEADbeef0102"])
+    def test_hex_digit_pairs_in_either_case(self, text):
+        assert parse_hex(text) == bytes.fromhex(text)
+
+    @pytest.mark.parametrize("text", [
+        "01 02", "01 02 03 04 05 06 07 08", " 0102", "0102\n", "0102 ", "012", "0x0102", "zz",
+        "\u0660\u0660",  # ARABIC-INDIC DIGIT ZERO: a digit, but not a hex digit
+    ])
+    def test_anything_else_is_rejected(self, text):
+        with pytest.raises(ProtocolError, match="not valid hex"):
+            parse_hex(text)
+
+
+# No module but protocol.py's layouts slices wire data or checks a wire
+# length by a literal; each pattern is one way the layouts were once bypassed.
+_HAND_WRITTEN_WIRE = re.compile(
+    r'data\[[0-9]+:[0-9]+\]|len\([a-z_.]+\) != (8|10|27|64)\b|\{16\}|"utf-8"\)\)\.digest\(\)\[:8\]'
+)
+
+
+def test_no_module_hand_writes_a_wire_offset_or_length():
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(octv.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if _HAND_WRITTEN_WIRE.search(line)
+    ]
+    assert hits == []
 
 
 class TestUrlExtension:

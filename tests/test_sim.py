@@ -286,6 +286,28 @@ class TestTierGating:
         trusted, untrusted = report.subjects
         assert trusted.keys_received == untrusted.keys_received == 2
 
+    def test_flags_written_as_text_mean_what_they_say(self):
+        def camera(tiering):
+            return {"position": [0, 0], "fov_deg": 90, "view_depth_m": 8,
+                    "radio": {"radius_m": 10}, "segment_interval_s": 10, "tiering": tiering}
+
+        scenario = scenario_from_dict({
+            "duration_s": 20,
+            "cameras": [camera("TRUE"), camera("false")],
+            "subjects": [
+                {"name": "trusted", "trusted": "yes", "waypoints": [[0, 5, 0]]},
+                {"name": "untrusted", "trusted": "false", "waypoints": [[0, 5, 1]]},
+            ],
+        })
+        assert [cam.config.tiering for cam in scenario.cameras] == [True, False]
+        assert [subject.trusted for subject in scenario.subjects] == [True, False]
+        report, transport = run_scenario(scenario, seed=0)
+        _, subject_addrs = participant_addresses(scenario)
+        untrusted_reads = {
+            r.suffix for r in transport.log if r.kind == "read" and r.sender == subject_addrs[1]
+        }
+        assert untrusted_reads == {1, 2, 3, 4, 0x0011, 0x0012}  # the base tier of the tiering one
+
     def test_base_tier_keys_of_chunked_camera_open_whole_segments(self):
         passer = [[0, 100, 0], [9.999, 100, 0], [10, 5, 0], [19.999, 5, 0], [20, 100, 0]]
         scenario = scenario_from_dict(

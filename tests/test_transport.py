@@ -104,6 +104,14 @@ class TestLoopback:
         sender.advertise(b"x")
         assert received == []
 
+    def test_pump_sleeps_the_broker_clock(self):
+        clock = SimClock(10.0)
+        peer = SimTransport(clock=clock).join("camera")
+        peer.pump(0.25)
+        assert clock.now() == 10.25
+        peer.pump()
+        assert clock.now() == 10.25
+
 
 class TestDeterminismAndMonotonicity:
     def run_once(self, radius, seed=7, loss=0.5):
