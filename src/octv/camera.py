@@ -10,6 +10,7 @@ segment is sealed, hashed and dispatched per the availability mode.
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from operator import itemgetter
 from . import crypto
 from .errors import (
     ConfigError,
+    ConflictError,
     InvalidModeError,
     NotFoundError,
     NoSuchCharacteristicError,
@@ -188,6 +190,8 @@ class CameraConfig:
             raise ConfigError(f"advert_interval_ms must be >= 20, got {self.advert_interval_ms}")
         if self.mode == Mode.DELAYED and self.delay_s <= 0:
             raise ConfigError("delayed mode requires delay_s > 0")
+        if self.source_duration_s is not None and not math.isfinite(self.source_duration_s):
+            raise ConfigError(f"duration_s must be finite, got {self.source_duration_s}")
 
     @property
     def extension(self) -> str:
@@ -236,6 +240,12 @@ def config_flag(value) -> bool:
     return flag
 
 
+def config_url_template(value) -> str:
+    """A URL template, refused unless :func:`~octv.protocol.url_extension` accepts it."""
+    url_extension(value)
+    return value
+
+
 def _location(text: str) -> "Coordinates | str":
     if text.startswith("text:"):
         return text[len("text:") :]
@@ -270,7 +280,8 @@ def parse_camera_config(path) -> CameraConfig:
     try:
         name = get("name")
         mode = get("mode", Mode.from_name, Mode.AUTO)
-        descriptor = CameraDescriptor(name=name, mode=mode, url_template=get("url_template"),
+        descriptor = CameraDescriptor(name=name, mode=mode,
+                                      url_template=get("url_template", config_url_template),
                                       location=get("location", _location, "unspecified"))
         chunk_count = get("chunk_count", int, 0)
         chunking = (ChunkingConfig(chunk_count, get("token_advert_interval_ms", int, 500))
@@ -302,7 +313,7 @@ class SegmentRecord:
     start_t: float
     end_t: float
     container: bytes
-    state: str  # pending | uploaded | withheld | evicted
+    state: str  # pending | uploaded | withheld | evicted | conflict
     stream: str = "main"  # main | tier
 
 
@@ -582,7 +593,19 @@ class CameraRuntime:
     def _try_upload(self, record: SegmentRecord, t: float, attempt: int) -> None:
         key = ObjectKey(record.video_id, self.config.extension)
         try:
-            self.store.put(key, record.container)
+            try:
+                self.store.put(key, record.container)
+            except ConflictError:
+                # our own earlier PUT whose reply was lost, or another object
+                # stored under the id since its HEAD check
+                if self.store.get(key) != record.container:
+                    record.state = "conflict"
+                    record.container = b""
+                    self._emit(
+                        {"event": "upload-conflict", "t": t, "video_id": record.video_id.hex(),
+                         "object": key.path, "stream": record.stream}
+                    )
+                    return
         except (OctvError, OSError) as exc:
             backoff = min(2.0**attempt, _BACKOFF_CAP_S)
             self._pending.append((t + backoff, record, attempt + 1))

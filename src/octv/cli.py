@@ -6,6 +6,7 @@ one machine-parseable line on stderr: ``error: <kind>: <message>``.
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -21,6 +22,14 @@ from .errors import ConfigError, NotFoundError, OctvError
 from .protocol import decode_key_packet, parse_hex, parse_video_id, url_extension
 from .store import FsObjectStore, ObjectKey, StoreServer, fetch_url, open_store
 from .transport import SimTransport, UdpBusPeer
+
+
+def _seconds(text: str) -> float:
+    """A flag's finite number of seconds."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds, got {text!r}")
+    return value
 
 
 def _install_stop(callback) -> None:
@@ -274,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     camera_sub = camera.add_subparsers(dest="camera_command")
     run = camera_sub.add_parser("run", help="run the recording loop")
     run.add_argument("--config", required=True, help="camera config file (key = value)")
-    run.add_argument("--duration", type=float, default=None,
+    run.add_argument("--duration", type=_seconds, default=None,
                      help="bound the synthetic source to this many seconds")
     run.set_defaults(func=cmd_camera_run)
     release = camera_sub.add_parser("release", help="release a withheld segment")
     release.add_argument("id", help="video id, 16 hex chars")
     release.add_argument("--control", default=None, help="camera control directory")
     release.add_argument("--config", default=None, help="camera config to read control_dir from")
-    release.add_argument("--timeout", type=float, default=10.0)
+    release.add_argument("--timeout", type=_seconds, default=10.0)
     release.set_defaults(func=cmd_camera_release)
 
     store = sub.add_parser("store", help="footage object store")
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     listen = client_sub.add_parser("listen", help="collect keys into a wallet")
     listen.add_argument("--wallet", required=True)
     listen.add_argument("--bus", required=True, help="transport bus directory")
-    listen.add_argument("--duration", type=float, default=None)
+    listen.add_argument("--duration", type=_seconds, default=None)
     listen.set_defaults(func=cmd_client_listen)
     sessions = client_sub.add_parser("sessions", help="list proximity sessions")
     sessions.add_argument("--wallet", required=True)

@@ -89,9 +89,6 @@ class WalletRecord:
     descriptor: CameraDescriptor
     packet: KeyPacket
 
-    def dedup_key(self) -> tuple[bytes, bytes, int]:
-        return (self.camera_address, self.packet.video_id, self.packet.seq)
-
 
 def _record_line(record: WalletRecord) -> str:
     body = (
@@ -193,20 +190,26 @@ class Wallet:
                 raise WalletError(f"{source}: line {lineno}: {exc}") from None
         return kept
 
-    def _add_record(self, record: WalletRecord) -> bool:
-        key = record.dedup_key()
+    def _add_record(self, record: WalletRecord, persist: bool = False) -> bool:
+        """Hold ``record`` unless already held; with ``persist``, on disk first."""
+        key = (record.camera_address, record.packet.video_id, record.packet.seq)
         if key in self._index:
             return False
+        if persist:
+            self._append_line(_record_line(record))
         self._index.add(key)
         self.records.append(record)
         self.by_camera.setdefault(record.camera_address, []).append(record)
         self._by_seq.setdefault((record.camera_address, record.packet.seq), []).append(record)
         return True
 
-    def _add_token(self, token: ChunkToken, received_at: float) -> bool:
+    def _add_token(self, token: ChunkToken, received_at: float, persist: bool = False) -> bool:
+        """Hold ``token`` unless already held; with ``persist``, on disk first."""
         per_video = self._tokens.setdefault(token.video_id, {})
         if token.chunk_index in per_video:
             return False
+        if persist:
+            self._append_line(_token_line(received_at, token))
         per_video[token.chunk_index] = token
         self._token_times[(token.video_id, token.chunk_index)] = received_at
         return True
@@ -221,18 +224,11 @@ class Wallet:
 
     def ingest(self, record: WalletRecord) -> bool:
         """Add a record; persisted before acknowledgment. False on duplicate."""
-        if record.dedup_key() in self._index:
-            return False
-        if self._fh is not None:
-            self._append_line(_record_line(record))
-        return self._add_record(record)
+        return self._add_record(record, persist=self._fh is not None)
 
     def add_token(self, token: ChunkToken, received_at: float) -> bool:
-        if token.chunk_index in self._tokens.get(token.video_id, {}):
-            return False
-        if self._fh is not None:
-            self._append_line(_token_line(received_at, token))
-        return self._add_token(token, received_at)
+        """Add a chunk token; persisted before acknowledgment. False on duplicate."""
+        return self._add_token(token, received_at, persist=self._fh is not None)
 
     def token_receipts(self) -> list[tuple[float, ChunkToken]]:
         """Every held token with its receipt time, in the order received."""

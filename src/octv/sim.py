@@ -28,6 +28,7 @@ from .camera import (
     SyntheticFrameSource,
     camera_id_for,
     config_flag,
+    config_url_template,
     config_value,
 )
 from .client import Listener, Wallet
@@ -49,9 +50,11 @@ class Trajectory:
             raise ConfigError("trajectory needs at least one waypoint")
         try:
             times, xs, ys = zip(*self.waypoints, strict=True)
-            sum(times + xs + ys, 0.0)  # a TypeError unless every value is a number
-        except (TypeError, ValueError):
-            raise ConfigError(f"waypoints must be [t, x, y] numbers: {self.waypoints!r}") from None
+            if not all(map(math.isfinite, times + xs + ys)):  # a TypeError unless numbers
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"waypoints must be [t, x, y] finite numbers: {self.waypoints!r}") from None
         if not all(map(operator.lt, times, times[1:])):
             raise ConfigError("waypoint times must be strictly increasing")
 
@@ -94,11 +97,14 @@ class SimCamera:
     config: CameraConfig
 
     def __post_init__(self):
-        if len(self.position) != 2 or not all(isinstance(v, (int, float)) for v in self.position):
-            raise ConfigError(f"position must be [x, y] numbers, got {self.position!r}")
+        if len(self.position) != 2 or not all(
+                isinstance(v, (int, float)) and math.isfinite(v) for v in self.position):
+            raise ConfigError(f"position must be [x, y] finite numbers, got {self.position!r}")
+        if not math.isfinite(self.orientation_deg):
+            raise ConfigError(f"orientation_deg must be finite, got {self.orientation_deg}")
         if not 0 < self.fov_deg <= 360:
             raise ConfigError(f"fov_deg must be in (0, 360], got {self.fov_deg}")
-        if self.view_depth_m <= 0:
+        if not self.view_depth_m > 0:  # NaN too; +inf is an unbounded view
             raise ConfigError(f"view_depth_m must be > 0, got {self.view_depth_m}")
 
 
@@ -117,10 +123,10 @@ class Scenario:
     timestep_s: float = 1.0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be > 0")
-        if self.timestep_s <= 0:
-            raise ConfigError("timestep_s must be > 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError(f"duration_s must be finite and > 0, got {self.duration_s}")
+        if not 0 < self.timestep_s < math.inf:
+            raise ConfigError(f"timestep_s must be finite and > 0, got {self.timestep_s}")
 
 
 def in_view(camera: SimCamera, position: tuple[float, float]) -> bool:
@@ -155,7 +161,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             chunking = (ChunkingConfig(chunk_count, get("token_advert_interval_ms", int, 1000))
                         if chunk_count > 0 else None)
             descriptor = CameraDescriptor(name, mode, f"sim ({', '.join(map(str, position))})",
-                                          get("url_template", str, _DEFAULT_URL_TEMPLATE))
+                                          get("url_template", config_url_template,
+                                              _DEFAULT_URL_TEMPLATE))
             config = CameraConfig(
                 descriptor=descriptor, camera_id=camera_id_for(name), mode=mode,
                 segment_interval_s=get("segment_interval_s", int),

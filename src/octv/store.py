@@ -12,6 +12,7 @@ body with one gathered send; each head carries ``Date``, ``Content-Type``,
 ``Content-Length`` and, when the store then closes, ``Connection: close``.
 """
 
+import atexit
 import io
 import os
 import re
@@ -605,9 +606,18 @@ class _ConnectionPool:
         for conn in dropped:
             conn.close()
 
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, OrderedDict()
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
 
 # one per process: ``fetch_url`` is a plain function that fetchers pass around
 _POOL = _ConnectionPool()
+atexit.register(_POOL.close)  # idle sockets are closed, not left to the collector
 
 
 class HttpStoreClient:

@@ -9,7 +9,8 @@ Two backends share one duck-typed peer surface:
   enlarging a radius never flips a previously delivered advertisement.
   Listeners are indexed by grid cell, so an advert only tests the peers
   in the cells its disc overlaps; a listener that moves changes cell in
-  place, without a rebuild.
+  place, without a rebuild. A sender with an unbounded radius reaches
+  every listener without the grid. Peers are numbered in join order.
 * :class:`UdpBusPeer` — local datagram sockets plus a
   registry directory, for multi-process demos. Semantics match the
   in-process loopback mode (infinite radius, zero loss).
@@ -44,7 +45,7 @@ class RangeModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.radius_m <= 0:
+        if not self.radius_m > 0:  # NaN too
             raise ValueError(f"radius_m must be > 0, got {self.radius_m}")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError(f"loss_probability must be in [0,1], got {self.loss_probability}")
@@ -91,6 +92,11 @@ def _loss_draw(seed: int, sender: bytes, receiver: bytes, emission_index: int) -
     return _draw(_loss_prefix(seed, sender, receiver), emission_index)
 
 
+def _check_advert_len(payload: bytes) -> None:
+    if len(payload) > MAX_ADVERT_LEN:
+        raise ProtocolError(f"advertisement payload {len(payload)} bytes exceeds {MAX_ADVERT_LEN}")
+
+
 def grid_cell(position, width: float) -> tuple[int, int]:
     """Key of the square grid cell of side ``width`` holding ``position``."""
     return (math.floor(position[0] / width), math.floor(position[1] / width))
@@ -126,10 +132,6 @@ class SimPeer:
         self._cell = None  # grid cell key while indexed as a positioned listener
         self._disc = None  # as a sender: the grid's cell lists that its disc overlaps
 
-    @property
-    def position(self):
-        return self._position
-
     def set_position(self, position) -> None:
         # the one way to move: the broker's grid must hear of it
         self._transport._move(self, position)
@@ -164,7 +166,6 @@ class SimTransport:
         self.log: list[TransportRecord] = []
         self._peers: list[SimPeer] = []
         self._by_address: dict[bytes, SimPeer] = {}
-        self._next_address = 1
         self._lock = threading.RLock()
         # Uniform grid of the listening peers: cell key -> positioned peers
         # in join order, plus the unplaced ones. A cell is as wide as the
@@ -178,16 +179,9 @@ class SimTransport:
         # (seed, sender, receiver) -> _loss_prefix, made at the pair's first draw
         self._loss_prefixes: dict[tuple[int, bytes, bytes], object] = {}
 
-    def join(self, kind: str, position=None, address: bytes | None = None,
-             range_model: RangeModel | None = None) -> SimPeer:
+    def join(self, kind: str, position=None, range_model: RangeModel | None = None) -> SimPeer:
         with self._lock:
-            if address is None:
-                address = struct.pack(">HI", 0x0200, self._next_address)
-                self._next_address += 1
-            if len(address) != ADDRESS_LEN:
-                raise ValueError(f"address must be {ADDRESS_LEN} bytes")
-            if address in self._by_address:
-                raise ValueError(f"address {address.hex()} already joined")
+            address = struct.pack(">HI", 0x0200, len(self._peers) + 1)
             peer = SimPeer(self, address, kind, position, range_model)
             self._peers.append(peer)
             self._by_address[address] = peer
@@ -222,10 +216,7 @@ class SimTransport:
         return math.hypot(sx - rx, sy - ry) <= sender.range_model.radius_m
 
     def _advertise(self, sender: SimPeer, payload: bytes) -> None:
-        if len(payload) > MAX_ADVERT_LEN:
-            raise ProtocolError(
-                f"advertisement payload {len(payload)} bytes exceeds {MAX_ADVERT_LEN}"
-            )
+        _check_advert_len(payload)
         with self._lock:
             emission = sender._emissions
             sender._emissions += 1
@@ -253,31 +244,25 @@ class SimTransport:
     def _reached(self, sender: SimPeer) -> list[SimPeer]:
         """Listening peers in range of ``sender``, in join order.
 
-        Only these get a log line for the advert. A positioned sender with
-        a finite radius tests the positioned peers in the cells its disc
-        overlaps; an unpositioned peer is always in range; a sender with
-        no model or no position reaches every listening peer.
+        Only these get a log line for the advert. A sender with no model,
+        no position or an unbounded radius reaches every listening peer.
+        Otherwise an unpositioned peer is always in range, and the
+        positioned peers tested are those in the cells its disc overlaps.
         """
         model = sender.range_model
-        if model is None or sender._position is None:
+        if model is None or sender._position is None or model.radius_m == math.inf:
             return [p for p in self._peers if p is not sender and p._scan_cb is not None]
         radius = model.radius_m
-        if math.isfinite(radius):
-            if self._cells is None:
-                self._index()
-            if sender._disc is None:
-                cells = self._cells
-                sender._disc = [cells.setdefault(key, [])
-                                for key in disc_cells(sender._position, radius, self._cell_m)]
-            unplaced, nearby = self._unplaced, sender._disc
-        else:
-            listening = [p for p in self._peers if p._scan_cb is not None]
-            unplaced = [p for p in listening if p._position is None]
-            nearby = [[p for p in listening if p._position is not None]]
-        reached = [p for p in unplaced if p is not sender]
+        if self._cells is None:
+            self._index()
+        if sender._disc is None:
+            cells = self._cells
+            sender._disc = [cells.setdefault(key, [])
+                            for key in disc_cells(sender._position, radius, self._cell_m)]
+        reached = [p for p in self._unplaced if p is not sender]
         sx, sy = sender._position
         hypot = math.hypot
-        for cell in nearby:
+        for cell in sender._disc:
             for p in cell:
                 rx, ry = p._position
                 if hypot(sx - rx, sy - ry) <= radius and p is not sender:
@@ -346,10 +331,10 @@ _RACY_NS = 2_000_000_000
 class UdpBusPeer:
     """Peer on a loopback datagram bus registered via a shared directory."""
 
-    def __init__(self, bus_dir, kind: str, address: bytes | None = None, clock=None):
+    def __init__(self, bus_dir, kind: str, clock=None):
         self.bus_dir = str(bus_dir)
         self.kind = kind
-        self.address = address if address is not None else os.urandom(ADDRESS_LEN)
+        self.address = os.urandom(ADDRESS_LEN)
         self.clock = clock if clock is not None else RealClock()
         self._scan_cb = None
         self._characteristics = None
@@ -403,10 +388,7 @@ class UdpBusPeer:
         self._characteristics = resolver
 
     def advertise(self, payload: bytes) -> None:
-        if len(payload) > MAX_ADVERT_LEN:
-            raise ProtocolError(
-                f"advertisement payload {len(payload)} bytes exceeds {MAX_ADVERT_LEN}"
-            )
+        _check_advert_len(payload)
         frame = bytes([_FRAME_ADV]) + self.address + payload
         for port in self._registry().values():
             self._sock.sendto(frame, ("127.0.0.1", port))

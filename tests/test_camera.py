@@ -385,6 +385,64 @@ class TestUploadRetry:
         assert len(pipeline.wallet.records) == 4  # every packet still broadcast
 
 
+class LostReplyStore(MemoryObjectStore):
+    """Keeps the first PUT but loses its reply, as a timed-out HTTP client
+    would; then fails ``failed_gets`` GETs."""
+
+    def __init__(self, failed_gets=0):
+        super().__init__()
+        self.reply_lost = False
+        self.failed_gets = failed_gets
+
+    def put(self, key, data):
+        super().put(key, data)
+        if not self.reply_lost:
+            self.reply_lost = True
+            raise OctvError("timed out (injected)")
+
+    def get(self, key):
+        if self.failed_gets:
+            self.failed_gets -= 1
+            raise OctvError("store unreachable (injected)")
+        return super().get(key)
+
+
+class RacedStore(MemoryObjectStore):
+    """Another writer stores its own object under each id between the
+    camera's HEAD check and its PUT."""
+
+    def put(self, key, data):
+        if not self.contains(key):
+            super().put(key, b"foreign footage")
+        super().put(key, data)
+
+
+class TestUploadConflict:
+    @pytest.mark.parametrize("failed_gets", [0, 1])
+    def test_lost_reply_counts_as_uploaded(self, failed_gets):
+        store = LostReplyStore(failed_gets)
+        pipeline = run_pipeline(segments=2, store=store, run=False, segment_interval_s=2)
+        pipeline.camera.run()
+        events = pipeline.events
+        assert sum(e["event"] == "upload-retry" for e in events) == 1 + failed_gets
+        uploads = sorted(e["video_id"] for e in events if e["event"] == "upload")
+        assert uploads == sorted(r.video_id.hex() for r in pipeline.camera.records)
+        assert all(r.state == "uploaded" and r.container == b"" for r in pipeline.camera.records)
+        assert pipeline.camera._pending == []
+        assert len(store.keys()) == 2
+
+    def test_foreign_object_is_a_conflict_not_a_retry(self):
+        store = RacedStore()
+        pipeline = run_pipeline(segments=2, store=store, run=False, segment_interval_s=2)
+        pipeline.camera.run()
+        records = pipeline.camera.records
+        kinds = [e["event"] for e in pipeline.events if e["event"].startswith("upload")]
+        assert kinds == ["upload-conflict"] * len(records)
+        assert all(r.state == "conflict" and r.container == b"" for r in records)
+        assert pipeline.camera._pending == []
+        assert all(store.get(ObjectKey(r.video_id, "mp4")) == b"foreign footage" for r in records)
+
+
 class TestVideoIdCollision:
     def test_regenerates_on_collision(self):
         store = MemoryObjectStore()

@@ -319,6 +319,13 @@ class TestCameraRun:
         time.sleep(1.5)
         assert stop(proc) == 0
 
+    @pytest.mark.parametrize("flag", ["nan", "inf"])
+    def test_non_finite_duration_is_usage_error(self, tmp_path, flag):
+        config = write_camera_config(tmp_path / "camera.conf", tmp_path / "objects")
+        result = octv("camera", "run", "--config", str(config), "--duration", flag)
+        assert result.returncode == 2
+        assert "finite" in result.stderr and "Traceback" not in result.stderr
+
     def test_missing_store_is_config_error(self, tmp_path):
         config = tmp_path / "camera.conf"
         config.write_text(
@@ -429,6 +436,13 @@ def with_waypoint(scenario, waypoint):
     return {**scenario, "subjects": [{"name": "odd", "waypoints": [waypoint]}]}
 
 
+def with_camera(scenario, **values):
+    return {**scenario, "cameras": [{**scenario["cameras"][0], **values}]}
+
+
+NAN, INF = float("nan"), float("inf")  # json writes them as NaN and Infinity
+
+
 class TestMalformedConfig:
     """A malformed camera config or scenario is one ``error: ConfigError:`` line
     naming the file and the key, never a traceback."""
@@ -440,6 +454,9 @@ class TestMalformedConfig:
         ({"location": "1, 2, 3"}, "location"),
         ({"chunk_count": "1.5"}, "chunk_count"),
         ({"mode": "bogus"}, "mode"),
+        ({"url_template": "bogus"}, "url_template"),
+        ({"duration_s": "nan"}, "duration_s"),
+        ({"duration_s": "inf"}, "duration_s"),
     ])
     def test_camera_config(self, tmp_path, capsys, override, key):
         config = write_camera_config(tmp_path / "camera.conf", tmp_path / "objects", **override)
@@ -459,6 +476,15 @@ class TestMalformedConfig:
         ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "position": [1]}]}, "position"),
         ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "mode": "bogus"}]}, "mode"),
         ({**SCENARIO, "cameras": [{**SCENARIO["cameras"][0], "tiering": "maybe"}]}, "tiering"),
+        (with_camera(SCENARIO, url_template="bogus"), "url_template"),
+        ({**SCENARIO, "duration_s": NAN}, "duration_s"),
+        ({**SCENARIO, "duration_s": INF}, "duration_s"),
+        ({**SCENARIO, "timestep_s": NAN}, "timestep_s"),
+        (with_camera(SCENARIO, view_depth_m=NAN), "view_depth_m"),
+        (with_camera(SCENARIO, position=[0, NAN]), "position"),
+        (with_camera(SCENARIO, orientation_deg=INF), "orientation_deg"),
+        (with_camera(SCENARIO, radio={"radius_m": NAN}), "radius_m"),
+        (with_waypoint(SCENARIO, [0, NAN, 0]), "waypoints"),
     ])
     def test_scenario(self, tmp_path, capsys, scenario, key):
         path = tmp_path / "scenario.json"

@@ -1,3 +1,4 @@
+import errno
 import random
 import secrets
 import zlib
@@ -129,6 +130,36 @@ class TestWalletPersistence:
         reopened = open_wallet(path)
         assert reopened.tokens_for(video_id) == [token]
         assert reopened.tokens_for(reopened.records[0].packet.video_id) == [token]
+
+    def test_failed_fsync_acknowledges_nothing(self, tmp_path, open_wallet, monkeypatch):
+        """A fact whose line cannot be made durable is not held, so the same
+        fact is taken again once the disk works."""
+        path = tmp_path / "wallet.txt"
+        wallet = open_wallet(path)
+        record = make_record()
+        token = ChunkToken(secrets.token_bytes(16), 0, record.packet.video_id)
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(client_module.os, "fsync", failing_fsync)
+        with pytest.raises(WalletError):
+            wallet.ingest(record)
+        with pytest.raises(WalletError):
+            wallet.add_token(token, 1.0)
+        assert wallet.records == [] and wallet.by_camera == {}
+        assert wallet.tokens_for(token.video_id) == []
+        monkeypatch.undo()
+
+        assert wallet.ingest(record)
+        assert wallet.add_token(token, 1.0)
+        assert wallet.records == [record]
+        assert wallet.by_camera == {record.camera_address: [record]}
+        assert wallet.tokens_for(token.video_id) == [token]
+        wallet.close()
+        reopened = open_wallet(path)  # a line written before its failed fsync is a repeat
+        assert [r.packet for r in reopened.records] == [record.packet]
+        assert reopened.tokens_for(token.video_id) == [token]
 
     def test_tokens_before_record(self):
         wallet = Wallet()

@@ -233,14 +233,9 @@ class TestFetchers:
 
     def test_cli_import_loads_no_url_opener(self):
         """``file:`` URLs are read directly, so neither module is imported."""
-        code = ("import octv.cli, sys; "
-                "loaded = {'urllib.request', 'http.client'} & set(sys.modules); "
-                "assert not loaded, sorted(loaded)")
-        src = str(Path(octv.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_python("import octv.cli, sys; "
+                          "loaded = {'urllib.request', 'http.client'} & set(sys.modules); "
+                          "assert not loaded, sorted(loaded)")
         assert done.returncode == 0, done.stderr
 
     def test_fetch_http_not_found(self, server):
@@ -277,9 +272,16 @@ def pool(monkeypatch):
     fresh = store_module._ConnectionPool()
     monkeypatch.setattr(store_module, "_POOL", fresh)
     yield fresh
-    for idle in fresh._idle.values():
-        for conn in idle:
-            conn.close()
+    fresh.close()
+
+
+def run_python(code, *options):
+    """Run ``code`` in a fresh interpreter that imports this checkout's octv."""
+    src = str(Path(octv.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *options, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class _FixedStatusHandler(BaseHTTPRequestHandler):
@@ -314,6 +316,23 @@ def fixed_status():
 
 
 class TestPooledConnections:
+    def test_idle_sockets_closed_at_exit(self):
+        """Warnings raised at interpreter exit escape the suite's warning
+        filter, so a fresh interpreter does a PUT and a GET and exits."""
+        done = run_python(
+            "import tempfile\n"
+            "from octv.store import FsObjectStore, HttpStoreClient, ObjectKey, StoreServer\n"
+            "with tempfile.TemporaryDirectory() as root:\n"
+            "    server = StoreServer(FsObjectStore(root))\n"
+            "    server.start()\n"
+            "    client = HttpStoreClient(server.base_url())\n"
+            "    client.put(ObjectKey(bytes(8)), b'footage')\n"
+            "    assert client.get(ObjectKey(bytes(8))) == b'footage'\n"
+            "    server.stop()\n",
+            "-X", "dev", "-W", "error::ResourceWarning")
+        assert done.returncode == 0, done.stderr
+        assert "unclosed" not in done.stderr
+
     def test_keep_alive_get_is_fast(self, server):
         server, store = server
         store.put(make_key(1), secrets.token_bytes(32 * 1024))

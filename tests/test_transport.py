@@ -73,6 +73,11 @@ class TestRangeDelivery:
         with pytest.raises(ProtocolError):
             camera.advertise(bytes(32))
 
+    def test_nan_radius_refused(self):
+        # a NaN radius is in range of nothing and out of range of nothing
+        with pytest.raises(ValueError, match="radius_m"):
+            RangeModel(radius_m=math.nan)
+
 
 class TestLoopback:
     def test_reaches_all_scanners(self):
