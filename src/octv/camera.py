@@ -162,7 +162,6 @@ class CameraConfig:
     camera_id: bytes
     segment_interval_s: int
     advert_interval_ms: int = 1000
-    mode: Mode = Mode.AUTO
     delay_s: int = 0
     chunking: ChunkingConfig | None = None
     tiering: bool = False
@@ -192,6 +191,11 @@ class CameraConfig:
             raise ConfigError("delayed mode requires delay_s > 0")
         if self.source_duration_s is not None and not math.isfinite(self.source_duration_s):
             raise ConfigError(f"duration_s must be finite, got {self.source_duration_s}")
+
+    @property
+    def mode(self) -> Mode:
+        """The mode the camera acts on: the one its descriptor broadcasts."""
+        return self.descriptor.mode
 
     @property
     def extension(self) -> str:
@@ -246,6 +250,23 @@ def config_url_template(value) -> str:
     return value
 
 
+def camera_config(get, name: str, location, url_template=_REQUIRED, **fields) -> CameraConfig:
+    """The camera that a config file or a scenario camera describes.
+
+    Reads through ``get`` every key the two share, with one default each;
+    ``url_template`` is that key's default, and ``fields`` the caller's own.
+    """
+    chunk_count = get("chunk_count", int, 0)
+    token_advert_interval_ms = get("token_advert_interval_ms", int, 1000)
+    return CameraConfig(
+        descriptor=CameraDescriptor(name, get("mode", Mode.from_name, Mode.AUTO), location,
+                                    get("url_template", config_url_template, url_template)),
+        chunking=ChunkingConfig(chunk_count, token_advert_interval_ms) if chunk_count > 0 else None,
+        segment_interval_s=get("segment_interval_s", int),
+        advert_interval_ms=get("advert_interval_ms", int, 1000), delay_s=get("delay_s", int, 0),
+        tiering=get("tiering", config_flag, False), **fields)
+
+
 def _location(text: str) -> "Coordinates | str":
     if text.startswith("text:"):
         return text[len("text:") :]
@@ -279,20 +300,9 @@ def parse_camera_config(path) -> CameraConfig:
     get = functools.partial(config_value, values)
     try:
         name = get("name")
-        mode = get("mode", Mode.from_name, Mode.AUTO)
-        descriptor = CameraDescriptor(name=name, mode=mode,
-                                      url_template=get("url_template", config_url_template),
-                                      location=get("location", _location, "unspecified"))
-        chunk_count = get("chunk_count", int, 0)
-        chunking = (ChunkingConfig(chunk_count, get("token_advert_interval_ms", int, 500))
-                    if chunk_count > 0 else None)
-        return CameraConfig(
-            descriptor=descriptor, mode=mode, chunking=chunking,
+        return camera_config(
+            get, name, get("location", _location, "unspecified"),
             camera_id=get("camera_id", parse_hex, None) or camera_id_for(name),
-            segment_interval_s=get("segment_interval_s", int),
-            advert_interval_ms=get("advert_interval_ms", int, 1000),
-            delay_s=get("delay_s", int, 0),
-            tiering=get("tiering", config_flag, False),
             store_target=get("store", default=""), source_kind=get("source", default="synthetic"),
             source_seed=get("seed", int, 0), source_rate=get("rate_bytes_per_s", int, 1000),
             source_duration_s=get("duration_s", float, None),

@@ -26,15 +26,15 @@ from .camera import (
     CameraRuntime,
     ChunkingConfig,
     SyntheticFrameSource,
+    camera_config,
     camera_id_for,
     config_flag,
-    config_url_template,
     config_value,
 )
 from .client import Listener, Wallet
 from .clocks import SimClock
 from .errors import ConfigError
-from .protocol import CHAR_KEY_PACKET, CHAR_TIER_KEY_PACKET, CameraDescriptor, Mode
+from .protocol import CHAR_KEY_PACKET, CHAR_TIER_KEY_PACKET
 from .store import MemoryObjectStore
 from .transport import RangeModel, SimTransport, disc_cells, grid_cell
 
@@ -156,20 +156,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             get = functools.partial(config_value, cam)
             name = get("name", str, f"camera-{i}")
             position = get("position", tuple)
-            mode = get("mode", Mode.from_name, Mode.AUTO)
-            chunk_count = get("chunk_count", int, 0)
-            chunking = (ChunkingConfig(chunk_count, get("token_advert_interval_ms", int, 1000))
-                        if chunk_count > 0 else None)
-            descriptor = CameraDescriptor(name, mode, f"sim ({', '.join(map(str, position))})",
-                                          get("url_template", config_url_template,
-                                              _DEFAULT_URL_TEMPLATE))
-            config = CameraConfig(
-                descriptor=descriptor, camera_id=camera_id_for(name), mode=mode,
-                segment_interval_s=get("segment_interval_s", int),
-                advert_interval_ms=get("advert_interval_ms", int, 1000),
-                delay_s=get("delay_s", int, 0), chunking=chunking,
-                tiering=get("tiering", config_flag, False),
-            )
+            config = camera_config(get, name, f"sim ({', '.join(map(str, position))})",
+                                   _DEFAULT_URL_TEMPLATE, camera_id=camera_id_for(name))
             radio = functools.partial(config_value, get("radio", dict, {}))
             radio_model = RangeModel(radio("radius_m", float, 10.0),
                                      radio("loss_probability", float, 0.0),

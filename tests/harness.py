@@ -105,7 +105,6 @@ def make_config(
         camera_id=camera_id,
         segment_interval_s=segment_interval_s,
         advert_interval_ms=advert_interval_ms,
-        mode=mode,
         delay_s=delay_s,
         chunking=chunking,
         tiering=tiering,
