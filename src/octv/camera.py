@@ -7,7 +7,6 @@ previous segment's hash prefix) goes on the air; at each boundary the
 segment is sealed, hashed and dispatched per the availability mode.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -222,18 +221,38 @@ _REQUIRED = object()
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def config_value(values: dict, key: str, convert=str, default=_REQUIRED):
-    """``convert(values[key])``, or ``default`` when absent; a ConfigError names a bad key."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"expected an object of keys and values, got {type(values).__name__}")
-    if key not in values:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return convert(values[key])
-    except (AttributeError, IndexError, TypeError, ValueError, ProtocolError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+class ConfigReader:
+    """The keys of one config object, each read through :meth:`get`.
+
+    It remembers the keys it read, so :meth:`reject_unread` can refuse a
+    misspelt key instead of letting its setting fall back to a default.
+    """
+
+    __slots__ = ("values", "read")
+
+    def __init__(self, values: dict):
+        if not isinstance(values, dict):
+            raise ConfigError(f"expected an object of keys and values, got {type(values).__name__}")
+        self.values = values
+        self.read: set[str] = set()
+
+    def get(self, key: str, convert=str, default=_REQUIRED):
+        """``convert(values[key])``, or ``default`` when absent; a ConfigError names a bad key."""
+        values = self.values
+        if key not in values:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        self.read.add(key)
+        try:
+            return convert(values[key])
+        except (AttributeError, IndexError, TypeError, ValueError, ProtocolError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+    def reject_unread(self) -> None:
+        """A ConfigError naming the first key in sorted order that was never read, if any."""
+        if len(self.read) < len(self.values):
+            raise ConfigError(f"unknown key {min(self.values.keys() - self.read)!r}")
 
 
 def config_flag(value) -> bool:
@@ -271,15 +290,18 @@ def _location(text: str) -> "Coordinates | str":
     if text.startswith("text:"):
         return text[len("text:") :]
     if "," in text:
-        lat, lon = text.split(",")
-        return Coordinates(float(lat), float(lon))
+        lat, lon = map(float, text.split(","))
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):  # NaN and infinities too
+            raise ValueError(f"latitude must be in [-90, 90] and longitude in [-180, 180], "
+                             f"got {lat}, {lon}")
+        return Coordinates(lat, lon)
     return text
 
 
 def parse_camera_config(path) -> CameraConfig:
     """Load the documented key=value camera configuration file.
 
-    An empty value counts as absent; a bad one is a ConfigError naming file and key.
+    An empty value counts as absent; a bad or unknown key is a ConfigError naming file and key.
     """
     values: dict[str, str] = {}
     try:
@@ -297,19 +319,22 @@ def parse_camera_config(path) -> CameraConfig:
         if value.strip():
             values[key.strip()] = value.strip()
 
-    get = functools.partial(config_value, values)
+    keys = ConfigReader(values)
+    get = keys.get
     try:
         name = get("name")
-        return camera_config(
+        config = camera_config(
             get, name, get("location", _location, "unspecified"),
             camera_id=get("camera_id", parse_hex, None) or camera_id_for(name),
             store_target=get("store", default=""), source_kind=get("source", default="synthetic"),
             source_seed=get("seed", int, 0), source_rate=get("rate_bytes_per_s", int, 1000),
             source_duration_s=get("duration_s", float, None),
-            source_path=values.get("source_path"),
+            source_path=get("source_path", default=None),
             withheld_budget_bytes=get("withheld_budget_bytes", int, 64 * 1024 * 1024),
-            control_dir=values.get("control_dir"), bus_dir=values.get("bus_dir"),
+            control_dir=get("control_dir", default=None), bus_dir=get("bus_dir", default=None),
         )
+        keys.reject_unread()
+        return config
     except (ConfigError, ValueError) as exc:  # ValueError: a descriptor field out of range
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -15,7 +15,6 @@ Identical (scenario, seed) inputs produce byte-identical reports.
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 import operator
@@ -25,11 +24,11 @@ from .camera import (
     CameraConfig,
     CameraRuntime,
     ChunkingConfig,
+    ConfigReader,
     SyntheticFrameSource,
     camera_config,
     camera_id_for,
     config_flag,
-    config_value,
 )
 from .client import Listener, Wallet
 from .clocks import SimClock
@@ -146,37 +145,43 @@ _DEFAULT_URL_TEMPLATE = "https://footage.example/{id}.mp4"
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """The scenario of a parsed scenario file; a bad value is a ConfigError naming its key."""
+    """The scenario of a parsed scenario file; a bad or unknown key is a ConfigError naming it."""
     where = ""
     try:
-        top = functools.partial(config_value, data)
+        top = ConfigReader(data)
         cameras = []
-        for i, cam in enumerate(top("cameras", list, [])):
+        for i, values in enumerate(top.get("cameras", list, [])):
             where = f"cameras[{i}]: "
-            get = functools.partial(config_value, cam)
+            cam = ConfigReader(values)
+            get = cam.get
             name = get("name", str, f"camera-{i}")
             position = get("position", tuple)
             config = camera_config(get, name, f"sim ({', '.join(map(str, position))})",
                                    _DEFAULT_URL_TEMPLATE, camera_id=camera_id_for(name))
-            radio = functools.partial(config_value, get("radio", dict, {}))
-            radio_model = RangeModel(radio("radius_m", float, 10.0),
-                                     radio("loss_probability", float, 0.0),
-                                     radio("rng_seed", int, 0))
+            radio = ConfigReader(get("radio", dict, {}))
+            radio_model = RangeModel(radio.get("radius_m", float, 10.0),
+                                     radio.get("loss_probability", float, 0.0),
+                                     radio.get("rng_seed", int, 0))
+            radio.reject_unread()
             cameras.append(SimCamera(
                 position=position, orientation_deg=get("orientation_deg", float, 0.0),
                 fov_deg=get("fov_deg", float, 90.0), view_depth_m=get("view_depth_m", float, 10.0),
                 radio=radio_model, config=config,
             ))
+            cam.reject_unread()
         subjects = []
-        for i, sub in enumerate(top("subjects", list, [])):
+        for i, values in enumerate(top.get("subjects", list, [])):
             where = f"subjects[{i}]: "
-            get = functools.partial(config_value, sub)
-            waypoints = get("waypoints", lambda points: tuple(map(tuple, points)))
-            subjects.append(Subject(get("name", str, f"subject-{i}"), Trajectory(waypoints),
-                                    get("trusted", config_flag, True)))
+            sub = ConfigReader(values)
+            waypoints = sub.get("waypoints", lambda points: tuple(map(tuple, points)))
+            subjects.append(Subject(sub.get("name", str, f"subject-{i}"), Trajectory(waypoints),
+                                    sub.get("trusted", config_flag, True)))
+            sub.reject_unread()
         where = ""
-        return Scenario(top("duration_s", float), tuple(cameras), tuple(subjects),
-                        top("timestep_s", float, 1.0))
+        scenario = Scenario(top.get("duration_s", float), tuple(cameras), tuple(subjects),
+                            top.get("timestep_s", float, 1.0))
+        top.reject_unread()
+        return scenario
     except (ConfigError, ValueError) as exc:  # ValueError: a descriptor or radio value
         raise ConfigError(f"{where}{exc}") from None
 

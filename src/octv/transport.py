@@ -185,7 +185,8 @@ class SimTransport:
             peer = SimPeer(self, address, kind, position, range_model)
             self._peers.append(peer)
             self._by_address[address] = peer
-            if range_model is not None and range_model.radius_m > self._cell_m:
+            # an unbounded sender reaches everyone without the grid
+            if range_model is not None and self._cell_m < range_model.radius_m < math.inf:
                 self._cell_m = range_model.radius_m
                 self._cells = None
             return peer

@@ -1,14 +1,17 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
 from harness import FlakyStore, LocalStoreFetcher, make_config, run_pipeline
+import octv
 from octv.camera import (
     CameraRuntime,
+    ConfigReader,
     SyntheticFrameSource,
     build_frame_source,
     config_flag,
-    config_value,
     parse_camera_config,
     synthetic_stream,
 )
@@ -25,6 +28,7 @@ from octv.protocol import (
     decode_key_packet,
     format_video_url,
 )
+from octv.sim import scenario_from_dict
 from octv.store import MemoryObjectStore, ObjectKey
 from octv.transport import SimTransport
 
@@ -658,9 +662,75 @@ class TestConfigFlag:
         ("false", False), ("NO", False), ("0", False), (0, False),
     ])
     def test_booleans_and_their_words(self, value, flag):
-        assert config_value({"tiering": value}, "tiering", config_flag) is flag
+        assert ConfigReader({"tiering": value}).get("tiering", config_flag) is flag
 
     @pytest.mark.parametrize("value", ["maybe", "on", "off", "", " true", "t", 2, 1.0, None, []])
     def test_anything_else_names_the_key(self, value):
         with pytest.raises(ConfigError, match="'tiering'"):
-            config_value({"tiering": value}, "tiering", config_flag)
+            ConfigReader({"tiering": value}).get("tiering", config_flag)
+
+
+# The keys a camera config file and a scenario camera share, each with a
+# good and a bad value; camera.camera_config alone reads them.
+SHARED_KEYS = {
+    "mode": ("manual", "bogus"),
+    "chunk_count": ("4", "1.5"),
+    "token_advert_interval_ms": ("250", "10"),
+    "url_template": ("https://files.example/{id}.jpg", "bogus"),
+    "segment_interval_s": ("7", "0"),
+    "advert_interval_ms": ("300", "10"),
+    "delay_s": ("5", "soon"),
+    "tiering": ("yes", "maybe"),
+}
+ABSENT = None
+SHARED_BASE = {"name": "shared", "url_template": "https://files.example/{id}.mp4",
+               "segment_interval_s": "2", "chunk_count": "3"}
+
+
+def shared_settings(read):
+    """What the shared keys decide in the config ``read`` returns, or its ConfigError's text."""
+    try:
+        config = read()
+    except ConfigError as exc:
+        return str(exc)
+    return (config.mode, config.descriptor.url_template, config.chunking,
+            config.segment_interval_s, config.advert_interval_ms, config.delay_s, config.tiering)
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key, values in SHARED_KEYS.items() for value in (*values, ABSENT)
+], ids=lambda value: "absent" if value is ABSENT else None)
+def test_file_and_scenario_read_shared_keys_alike(tmp_path, key, value):
+    values = {k: v for k, v in SHARED_BASE.items() if k != key}
+    if value is not ABSENT:
+        values[key] = value
+    path = tmp_path / "camera.conf"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    scenario = {"duration_s": 1, "cameras": [{"position": [0, 0], **values}]}
+    in_file = shared_settings(lambda: parse_camera_config(path))
+    in_scenario = shared_settings(lambda: scenario_from_dict(scenario).cameras[0].config)
+    if key == "url_template" and value is ABSENT:  # required in a file; a scenario has a default
+        assert key in in_file and in_scenario[1] == "https://footage.example/{id}.mp4"
+    elif isinstance(in_file, str) or isinstance(in_scenario, str):
+        assert isinstance(in_file, str) and isinstance(in_scenario, str)
+        assert key in in_file and key in in_scenario
+    else:
+        assert in_file == in_scenario
+
+
+def test_only_camera_config_names_a_shared_key():
+    """No call but those in camera.camera_config passes a shared key's name,
+    so the two readers cannot drift apart on one again."""
+    hits = []
+    for path in sorted(Path(octv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {id(node) for top in tree.body if path.name == "camera.py"
+                  and isinstance(top, ast.FunctionDef) and top.name == "camera_config"
+                  for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in reader:
+                continue
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]:
+                if isinstance(arg, ast.Constant) and arg.value in SHARED_KEYS:
+                    hits.append(f"{path.name}:{node.lineno}: {arg.value}")
+    assert hits == []

@@ -457,6 +457,11 @@ class TestMalformedConfig:
         ({"url_template": "bogus"}, "url_template"),
         ({"duration_s": "nan"}, "duration_s"),
         ({"duration_s": "inf"}, "duration_s"),
+        # a duration ends the run, should the config load
+        ({"moed": "manual", "duration_s": "1"}, "moed"),
+        ({"location": "nan, inf", "duration_s": "1"}, "location"),
+        ({"location": "91, 0", "duration_s": "1"}, "location"),
+        ({"location": "0, -181", "duration_s": "1"}, "location"),
     ])
     def test_camera_config(self, tmp_path, capsys, override, key):
         config = write_camera_config(tmp_path / "camera.conf", tmp_path / "objects", **override)
@@ -485,6 +490,10 @@ class TestMalformedConfig:
         (with_camera(SCENARIO, orientation_deg=INF), "orientation_deg"),
         (with_camera(SCENARIO, radio={"radius_m": NAN}), "radius_m"),
         (with_waypoint(SCENARIO, [0, NAN, 0]), "waypoints"),
+        (with_camera(SCENARIO, teiring=True), "teiring"),
+        ({**SCENARIO, "duraton_s": 60}, "duraton_s"),
+        (with_camera(SCENARIO, radio={"radius_m": 10, "los_probability": 0.5}), "los_probability"),
+        ({**SCENARIO, "subjects": [{"waypoints": [[0, 0, 0]], "trustd": False}]}, "trustd"),
     ])
     def test_scenario(self, tmp_path, capsys, scenario, key):
         path = tmp_path / "scenario.json"

@@ -247,6 +247,19 @@ class TestGridIndex:
         small.advertise(b"s")
         assert heard == ["far", "near", "near"]
 
+    def test_unbounded_radius_leaves_cells_narrow(self):
+        # an unbounded sender skips the grid, so only finite radii size its cells
+        transport = SimTransport(clock=SimClock(0.0))
+        unbounded = self.camera(transport, radius=math.inf)
+        small = self.camera(transport, radius=5.0)
+        heard = []
+        for i in range(100):
+            self.listener(transport, (50.0 * i, 0.0), heard, i)
+        unbounded.advertise(b"u")
+        small.advertise(b"s")
+        assert heard == [*range(100), 0]
+        assert sum(map(len, small._disc)) <= 3
+
     def test_callbacks_fire_in_join_order(self):
         transport = SimTransport(clock=SimClock(0.0), seed=5)
         camera = transport.join(
