@@ -39,7 +39,6 @@ from .protocol import (
     Coordinates,
     KeyPacket,
     Mode,
-    TokenAnnouncement,
     characteristic_uuid,
     decode_advertisement,
     decode_key_packet,

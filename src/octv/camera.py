@@ -30,12 +30,13 @@ from .protocol import (
     CHAR_KEY_PACKET,
     CHAR_TIER_KEY_PACKET,
     DESCRIPTOR_CHARS,
+    MAX_CHUNK_COUNT,
     Beacon,
     CameraDescriptor,
+    ChunkToken,
     Coordinates,
     KeyPacket,
     Mode,
-    TokenAnnouncement,
     encode_advertisement,
     encode_characteristic,
     encode_key_packet,
@@ -149,8 +150,8 @@ class ChunkingConfig:
     token_advert_interval_ms: int
 
     def __post_init__(self):
-        if self.chunk_count < 1:
-            raise ConfigError(f"chunk_count must be >= 1, got {self.chunk_count}")
+        if not 1 <= self.chunk_count <= MAX_CHUNK_COUNT:
+            raise ConfigError(f"chunk_count must be 1-{MAX_CHUNK_COUNT}, got {self.chunk_count}")
         if self.token_advert_interval_ms < 20:
             raise ConfigError("token_advert_interval_ms must be >= 20")
 
@@ -224,7 +225,7 @@ _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0"
 class ConfigReader:
     """The keys of one config object, each read through :meth:`get`.
 
-    It remembers the keys it read, so :meth:`reject_unread` can refuse a
+    It remembers the keys asked for, so :meth:`reject_unread` can refuse a
     misspelt key instead of letting its setting fall back to a default.
     """
 
@@ -239,20 +240,24 @@ class ConfigReader:
     def get(self, key: str, convert=str, default=_REQUIRED):
         """``convert(values[key])``, or ``default`` when absent; a ConfigError names a bad key."""
         values = self.values
+        self.read.add(key)
         if key not in values:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             return default
-        self.read.add(key)
         try:
             return convert(values[key])
         except (AttributeError, IndexError, TypeError, ValueError, ProtocolError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
-    def reject_unread(self) -> None:
-        """A ConfigError naming the first key in sorted order that was never read, if any."""
-        if len(self.read) < len(self.values):
-            raise ConfigError(f"unknown key {min(self.values.keys() - self.read)!r}")
+    def reject_unread(self, keys=None) -> None:
+        """A ConfigError naming the first key in sorted order that was never asked for, if any.
+
+        ``keys`` are the keys to check, by default those of ``values``.
+        """
+        unread = (self.values.keys() if keys is None else keys) - self.read
+        if unread:
+            raise ConfigError(f"unknown key {min(unread)!r}")
 
 
 def config_flag(value) -> bool:
@@ -301,7 +306,8 @@ def _location(text: str) -> "Coordinates | str":
 def parse_camera_config(path) -> CameraConfig:
     """Load the documented key=value camera configuration file.
 
-    An empty value counts as absent; a bad or unknown key is a ConfigError naming file and key.
+    An empty value counts as absent for a known key; a bad or unknown key,
+    whatever its value, is a ConfigError naming file and key.
     """
     values: dict[str, str] = {}
     try:
@@ -316,10 +322,9 @@ def parse_camera_config(path) -> CameraConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        if value.strip():
-            values[key.strip()] = value.strip()
+        values[key.strip()] = value.strip()
 
-    keys = ConfigReader(values)
+    keys = ConfigReader({key: value for key, value in values.items() if value})
     get = keys.get
     try:
         name = get("name")
@@ -333,7 +338,7 @@ def parse_camera_config(path) -> CameraConfig:
             withheld_budget_bytes=get("withheld_budget_bytes", int, 64 * 1024 * 1024),
             control_dir=get("control_dir", default=None), bus_dir=get("bus_dir", default=None),
         )
-        keys.reject_unread()
+        keys.reject_unread(values.keys())
         return config
     except (ConfigError, ValueError) as exc:  # ValueError: a descriptor field out of range
         raise ConfigError(f"{path}: {exc}") from None
@@ -348,7 +353,7 @@ class SegmentRecord:
     start_t: float
     end_t: float
     container: bytes
-    state: str  # pending | uploaded | withheld | evicted | conflict
+    state: str  # pending | uploaded | withheld | evicted | conflict | abandoned
     stream: str = "main"  # main | tier
 
 
@@ -358,7 +363,7 @@ class _StreamFile:
 
     stream: str  # main | tier
     packet: KeyPacket
-    tokens: list[crypto.ChunkToken] | None = None  # a chunked main file's tokens
+    tokens: list[ChunkToken] | None = None  # a chunked main file's tokens
 
 
 @dataclass
@@ -458,16 +463,20 @@ class CameraRuntime:
         self.clock.advance_to(t)
 
     def shutdown(self) -> None:
-        """Finalize in-progress footage and flush due uploads."""
+        """Finalize in-progress footage and make every pending upload's next attempt now.
+
+        A delayed segment goes up at stop, before its delay is out. An upload
+        that fails here is abandoned, as no retry follows.
+        """
         t = self.clock.now()
         if self._segment is not None:
             self._pull_frames(t)
             if self._segment.buffer:
                 self.rotate(t)  # emits the packet vouching for the last file
         self._segment = None
-        for due, record, attempt in list(self._pending):
-            self._try_upload(record, t, attempt)
-        self._pending.clear()
+        pending, self._pending = self._pending, []
+        for _, record, attempt in pending:
+            self._try_upload(record, t, attempt, last=True)
         self._emit({"event": "stop", "t": t})
         self._stopped = True
 
@@ -554,12 +563,9 @@ class CameraRuntime:
         self._segment = _LiveSegment(seq=self._seq, start_t=t, files=files, beacon=beacon)
         if config.chunking is not None:
             video_id = files[0].packet.video_id
-            files[0].tokens = [crypto.ChunkToken(crypto.generate_token(), i, video_id)
+            files[0].tokens = [ChunkToken(crypto.generate_token(), i, video_id)
                                for i in range(config.chunking.chunk_count)]
-            self._segment.token_adverts = [
-                encode_advertisement(TokenAnnouncement(video_id, token.chunk_index, token.token))
-                for token in files[0].tokens
-            ]
+            self._segment.token_adverts = [encode_advertisement(token) for token in files[0].tokens]
         self._boundary_t = t + config.segment_interval_s
         self._next_beacon_t = t
         self._emit_beacon(t)
@@ -625,7 +631,8 @@ class CameraRuntime:
              "seq": record.seq}
         )
 
-    def _try_upload(self, record: SegmentRecord, t: float, attempt: int) -> None:
+    def _try_upload(self, record: SegmentRecord, t: float, attempt: int, last: bool = False) -> None:
+        """Upload ``record``; on failure retry it later, or with ``last`` abandon it."""
         key = ObjectKey(record.video_id, self.config.extension)
         try:
             try:
@@ -642,6 +649,14 @@ class CameraRuntime:
                     )
                     return
         except (OctvError, OSError) as exc:
+            if last:
+                record.state = "abandoned"
+                record.container = b""
+                self._emit(
+                    {"event": "upload-abandoned", "t": t, "video_id": record.video_id.hex(),
+                     "stream": record.stream, "error": str(exc)}
+                )
+                return
             backoff = min(2.0**attempt, _BACKOFF_CAP_S)
             self._pending.append((t + backoff, record, attempt + 1))
             self._emit(

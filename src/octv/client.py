@@ -13,7 +13,7 @@ import zlib
 from dataclasses import dataclass
 
 from . import crypto
-from .crypto import ChainStatus, ChunkToken
+from .crypto import ChainStatus
 from .errors import (
     IntegrityError,
     NoSuchCharacteristicError,
@@ -27,9 +27,9 @@ from .protocol import (
     DESCRIPTOR_CHARS,
     Beacon,
     CameraDescriptor,
+    ChunkToken,
     Coordinates,
     KeyPacket,
-    TokenAnnouncement,
     decode_advertisement,
     decode_characteristic,
     decode_key_packet,
@@ -39,6 +39,7 @@ from .protocol import (
 )
 
 WALLET_HEADER = "octv-wallet 1"
+_VALUE_LEN = struct.Struct(">H")  # the length before each value of a descriptor blob
 
 
 def encode_descriptor_blob(descriptor: CameraDescriptor) -> bytes:
@@ -46,7 +47,7 @@ def encode_descriptor_blob(descriptor: CameraDescriptor) -> bytes:
     parts = []
     for which in DESCRIPTOR_CHARS:
         value = encode_characteristic(descriptor, which)
-        parts.append(struct.pack(">H", len(value)) + value)
+        parts.append(_VALUE_LEN.pack(len(value)) + value)
     return b"".join(parts)
 
 
@@ -67,10 +68,10 @@ def decode_descriptor_blob(blob: bytes) -> CameraDescriptor:
     values = []
     offset = 0
     for _ in DESCRIPTOR_CHARS:
-        if offset + 2 > len(blob):
+        if offset + _VALUE_LEN.size > len(blob):
             raise ProtocolError("descriptor blob truncated")
-        (length,) = struct.unpack(">H", blob[offset : offset + 2])
-        offset += 2
+        (length,) = _VALUE_LEN.unpack_from(blob, offset)
+        offset += _VALUE_LEN.size
         if offset + length > len(blob):
             raise ProtocolError("descriptor blob truncated")
         values.append(blob[offset : offset + length])
@@ -499,13 +500,8 @@ class Listener:
                 )
                 self.wallet.ingest(record)
                 self._last_seq[sender] = advert.seq
-            elif isinstance(advert, TokenAnnouncement):
-                token = ChunkToken(
-                    token=advert.token,
-                    chunk_index=advert.chunk_index,
-                    video_id=advert.video_id,
-                )
-                self.wallet.add_token(token, t)
+            elif isinstance(advert, ChunkToken):
+                self.wallet.add_token(advert, t)
             self._handled[handled_key] = payload
         except (UnreachableError, NoSuchCharacteristicError, ProtocolError):
             return  # out of range mid-exchange, or not a well-formed camera; try next beacon

@@ -18,6 +18,7 @@ chunked scheme the authenticated body decrypts to an inner record list:
 
 Each inner chunk is encrypted under a key derived from its access token,
 so holding k of n tokens (plus the outer key) reveals exactly k slices.
+The ``struct`` layouts below are the one source of these offsets and lengths.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import ConfigError, FormatError, IntegrityError
-from .protocol import HASH_PREFIX_LEN, KEY_LEN, TOKEN_LEN, VIDEO_ID_LEN, KeyPacket
+from .protocol import HASH_PREFIX_LEN, KEY_LEN, TOKEN_LEN, VIDEO_ID_LEN, ChunkToken, KeyPacket
 
 MAGIC = b"OCTV"
 VERSION = 0x01
@@ -39,9 +40,19 @@ SCHEME_CHUNKED = 0x02
 
 NONCE_LEN = 12
 TAG_LEN = 16
-HEADER_LEN = 6
-SINGLE_OVERHEAD = HEADER_LEN + NONCE_LEN + TAG_LEN  # 34 bytes
+# Container layouts, the one source of every offset and length in a stored file.
+_HEADER = struct.Struct(f">{len(MAGIC)}sBB{NONCE_LEN}s")  # magic, version, scheme, nonce
+_CHUNK_COUNT = struct.Struct(">H")
+_CHUNK_RECORD = struct.Struct(f">HI{NONCE_LEN}s")  # chunk_index, cipher_len, nonce
+HEADER_LEN = _HEADER.size - NONCE_LEN  # the part bound as associated data
+SINGLE_OVERHEAD = _HEADER.size + TAG_LEN  # 34 bytes
 ZERO_HASH_PREFIX = bytes(HASH_PREFIX_LEN)  # first packet's sentinel
+
+# each known scheme -> the IntegrityError message of its outer layer
+_AUTH_FAILED = {
+    SCHEME_SINGLE: "segment authentication failed: wrong key or tampered data",
+    SCHEME_CHUNKED: "outer layer authentication failed: wrong final key or tampered data",
+}
 
 
 def generate_key() -> bytes:
@@ -62,77 +73,60 @@ def hash_prefix(stored_file: bytes) -> bytes:
     return hashlib.sha256(stored_file).digest()[:HASH_PREFIX_LEN]
 
 
-def _header(scheme: int) -> bytes:
-    return MAGIC + bytes([VERSION, scheme])
-
-
 def _check_key(key: bytes) -> None:
     if len(key) != KEY_LEN:
         raise ConfigError(f"segment key must be {KEY_LEN} bytes, got {len(key)}")
 
 
-def encrypt_segment(plaintext: bytes, key: bytes) -> bytes:
-    """Encrypt one segment into a single-key container (scheme 0x01)."""
+def _seal(scheme: int, key: bytes, body: bytes) -> bytes:
+    """A ``scheme`` container of ``body`` sealed under ``key``, its header bound as associated data."""
     _check_key(key)
-    header = _header(SCHEME_SINGLE)
     nonce = secrets.token_bytes(NONCE_LEN)
-    body = AESGCM(key).encrypt(nonce, plaintext, header)
-    return header + nonce + body
+    header = _HEADER.pack(MAGIC, VERSION, scheme, nonce)
+    return header + AESGCM(key).encrypt(nonce, body, header[:HEADER_LEN])
 
 
-def _open_container(container: bytes, expected_scheme: int) -> tuple[bytes, bytes, bytes]:
-    """Validate the header; return (header, nonce, body). Raises FormatError."""
-    scheme = container_scheme(container)
-    if scheme != expected_scheme:
-        raise FormatError(f"unexpected scheme {scheme:#04x}")
+def _open(container: bytes, scheme: int, key: bytes) -> bytes:
+    """The body that :func:`_seal` sealed in a ``scheme`` container under ``key``.
+
+    A malformed container is a FormatError; a wrong key or tampered bytes,
+    an IntegrityError.
+    """
+    _check_key(key)
+    found = container_scheme(container)
+    if found != scheme:
+        raise FormatError(f"unexpected scheme {found:#04x}")
     if len(container) < SINGLE_OVERHEAD:
         raise FormatError(f"container too short: {len(container)} bytes")
-    return container[:HEADER_LEN], container[HEADER_LEN : HEADER_LEN + NONCE_LEN], container[HEADER_LEN + NONCE_LEN :]
+    nonce = _HEADER.unpack_from(container)[-1]
+    try:
+        return AESGCM(key).decrypt(nonce, container[_HEADER.size :], container[:HEADER_LEN])
+    except InvalidTag:
+        raise IntegrityError(_AUTH_FAILED[scheme]) from None
 
 
 def container_scheme(container: bytes) -> int:
     """Scheme byte of a container, after validating magic and version."""
-    if len(container) < HEADER_LEN:
+    if len(container) < _HEADER.size:
         raise FormatError(f"container too short: {len(container)} bytes")
-    if container[:4] != MAGIC:
-        raise FormatError(f"bad magic {container[:4]!r}")
-    if container[4] != VERSION:
-        raise FormatError(f"unsupported version {container[4]:#04x}")
-    scheme = container[5]
-    if scheme not in (SCHEME_SINGLE, SCHEME_CHUNKED):
+    magic, version, scheme, _ = _HEADER.unpack_from(container)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version:#04x}")
+    if scheme not in _AUTH_FAILED:
         raise FormatError(f"unknown scheme {scheme:#04x}")
     return scheme
 
 
+def encrypt_segment(plaintext: bytes, key: bytes) -> bytes:
+    """Encrypt one segment into a single-key container (scheme 0x01)."""
+    return _seal(SCHEME_SINGLE, key, plaintext)
+
+
 def decrypt_segment(container: bytes, key: bytes) -> bytes:
     """Decrypt a single-key container; FormatError vs IntegrityError are distinct."""
-    _check_key(key)
-    header, nonce, body = _open_container(container, SCHEME_SINGLE)
-    try:
-        return AESGCM(key).decrypt(nonce, body, header)
-    except InvalidTag:
-        raise IntegrityError("segment authentication failed: wrong key or tampered data") from None
-
-
-@dataclass(frozen=True)
-class ChunkToken:
-    """Short advertised secret unlocking one chunk of a chunked segment.
-
-    Useless on its own: chunk plaintext additionally requires the
-    segment's final key for the outer container layer.
-    """
-
-    token: bytes
-    chunk_index: int
-    video_id: bytes
-
-    def __post_init__(self):
-        if len(self.token) != TOKEN_LEN:
-            raise ValueError(f"token must be {TOKEN_LEN} bytes, got {len(self.token)}")
-        if self.chunk_index < 0:
-            raise ValueError(f"chunk_index must be >= 0, got {self.chunk_index}")
-        if len(self.video_id) != VIDEO_ID_LEN:
-            raise ValueError(f"video_id must be {VIDEO_ID_LEN} bytes")
+    return _open(container, SCHEME_SINGLE, key)
 
 
 def derive_chunk_key(token: ChunkToken) -> bytes:
@@ -159,7 +153,6 @@ def encrypt_segment_chunked(
     Each chunk is independently encrypted under its token-derived key;
     the concatenated records are then sealed under ``final_key``.
     """
-    _check_key(final_key)
     if chunk_count < 1:
         raise ConfigError(f"chunk_count must be >= 1, got {chunk_count}")
     if len(tokens) != chunk_count:
@@ -170,16 +163,12 @@ def encrypt_segment_chunked(
     if [t.chunk_index for t in tokens] != list(range(chunk_count)):
         raise ConfigError("token chunk indices must be exactly 0..chunk_count-1 in order")
 
-    inner = bytearray(struct.pack(">H", chunk_count))
+    inner = [_CHUNK_COUNT.pack(chunk_count)]
     for token, (start, end) in zip(tokens, chunk_slices(len(plaintext), chunk_count)):
         nonce = secrets.token_bytes(NONCE_LEN)
         cipher = AESGCM(derive_chunk_key(token)).encrypt(nonce, plaintext[start:end], b"")
-        inner += struct.pack(">HI", token.chunk_index, len(cipher)) + nonce + cipher
-
-    header = _header(SCHEME_CHUNKED)
-    outer_nonce = secrets.token_bytes(NONCE_LEN)
-    body = AESGCM(final_key).encrypt(outer_nonce, bytes(inner), header)
-    return header + outer_nonce + body
+        inner += (_CHUNK_RECORD.pack(token.chunk_index, len(cipher), nonce), cipher)
+    return _seal(SCHEME_CHUNKED, final_key, b"".join(inner))
 
 
 def decrypt_segment_chunked(
@@ -191,26 +180,19 @@ def decrypt_segment_chunked(
     marks a chunk that stayed locked for lack of a working token.
     Without ``final_key`` the outer layer fails and nothing is revealed.
     """
-    _check_key(final_key)
-    header, nonce, body = _open_container(container, SCHEME_CHUNKED)
-    try:
-        inner = AESGCM(final_key).decrypt(nonce, body, header)
-    except InvalidTag:
-        raise IntegrityError("outer layer authentication failed: wrong final key or tampered data") from None
-
+    inner = _open(container, SCHEME_CHUNKED, final_key)
     by_index = {t.chunk_index: t for t in tokens}
-    if len(inner) < 2:
+    if len(inner) < _CHUNK_COUNT.size:
         raise FormatError("chunked body truncated")
-    (chunk_count,) = struct.unpack(">H", inner[:2])
+    (chunk_count,) = _CHUNK_COUNT.unpack_from(inner)
     results: list[tuple[int, bytes | None]] = []
-    offset = 2
+    offset = _CHUNK_COUNT.size
     prev_index = -1
     for _ in range(chunk_count):
-        if offset + 18 > len(inner):
+        if offset + _CHUNK_RECORD.size > len(inner):
             raise FormatError("chunk record truncated")
-        index, cipher_len = struct.unpack(">HI", inner[offset : offset + 6])
-        chunk_nonce = inner[offset + 6 : offset + 18]
-        offset += 18
+        index, cipher_len, chunk_nonce = _CHUNK_RECORD.unpack_from(inner, offset)
+        offset += _CHUNK_RECORD.size
         if offset + cipher_len > len(inner):
             raise FormatError("chunk ciphertext truncated")
         cipher = inner[offset : offset + cipher_len]

@@ -19,11 +19,14 @@ VIDEO_ID_LEN = 8
 HASH_PREFIX_LEN = 21
 CAMERA_ID_LEN = 8
 TOKEN_LEN = 16
+MAX_CHUNK_COUNT = 0xFFFF  # a chunked body's count and a token advert's chunk index are 2 bytes
 MAX_ADVERT_LEN = 31  # legacy advertisement payload budget
 FOOTAGE_EXTENSIONS = ("mp4", "jpg")
 
-# Wire layouts, the one source of every offset and length. The dataclasses
-# below list their fields in layout order, after an advert's kind byte.
+# Wire layouts, the one source of every offset and length. KeyPacket and
+# Beacon list their fields in layout order, after an advert's kind byte; a
+# token advert carries ChunkToken's fields reversed, and decode_advertisement
+# alone maps them back.
 _KEY_PACKET = struct.Struct(f">{KEY_LEN}sBH{VIDEO_ID_LEN}s{HASH_PREFIX_LEN}s")
 _BEACON = struct.Struct(f">B{CAMERA_ID_LEN}sB")  # kind, camera_id, seq
 _TOKEN_ADVERT = struct.Struct(f">B{VIDEO_ID_LEN}sH{TOKEN_LEN}s")  # kind, video_id, chunk, token
@@ -261,41 +264,43 @@ class Beacon:
 
 
 @dataclass(frozen=True)
-class TokenAnnouncement:
-    """Fine-grained chunk token advertisement.
+class ChunkToken:
+    """Short advertised secret unlocking one chunk of a chunked segment.
 
-    Carries no camera id: a full token advert would be 35 bytes and blow
-    the 31-byte budget, so the camera is identified by the transport
-    sender address instead.
+    Useless on its own: chunk plaintext additionally requires the
+    segment's final key for the outer container layer. Its advert carries
+    no camera id: a full token advert would be 35 bytes and blow the
+    31-byte budget, so the camera is identified by the transport sender
+    address instead.
     """
 
-    video_id: bytes
-    chunk_index: int
     token: bytes
+    chunk_index: int
+    video_id: bytes
 
     def __post_init__(self):
-        if len(self.video_id) != VIDEO_ID_LEN:
-            raise ValueError(f"video_id must be {VIDEO_ID_LEN} bytes")
+        if len(self.token) != TOKEN_LEN:
+            raise ValueError(f"token must be {TOKEN_LEN} bytes, got {len(self.token)}")
         if not 0 <= self.chunk_index <= 0xFFFF:
             raise ValueError(f"chunk_index out of range: {self.chunk_index}")
-        if len(self.token) != TOKEN_LEN:
-            raise ValueError(f"token must be {TOKEN_LEN} bytes")
+        if len(self.video_id) != VIDEO_ID_LEN:
+            raise ValueError(f"video_id must be {VIDEO_ID_LEN} bytes")
 
 
-Advertisement = Beacon | TokenAnnouncement
+Advertisement = Beacon | ChunkToken
 
 
 def encode_advertisement(adv: Advertisement) -> bytes:
     """Serialize an advertisement; result always fits the 31-byte budget."""
     if isinstance(adv, Beacon):
         return _BEACON.pack(ADV_KIND_BEACON, adv.camera_id, adv.seq)
-    if isinstance(adv, TokenAnnouncement):
+    if isinstance(adv, ChunkToken):
         return _TOKEN_ADVERT.pack(ADV_KIND_TOKEN, adv.video_id, adv.chunk_index, adv.token)
     raise ProtocolError(f"unknown advertisement type {type(adv).__name__}")
 
 
 # advert kind byte -> the advert's class and layout
-_ADVERTS = {ADV_KIND_BEACON: (Beacon, _BEACON), ADV_KIND_TOKEN: (TokenAnnouncement, _TOKEN_ADVERT)}
+_ADVERTS = {ADV_KIND_BEACON: (Beacon, _BEACON), ADV_KIND_TOKEN: (ChunkToken, _TOKEN_ADVERT)}
 
 
 def decode_advertisement(data: bytes) -> Advertisement:
@@ -307,4 +312,7 @@ def decode_advertisement(data: bytes) -> Advertisement:
     cls, layout = _ADVERTS[data[0]]
     if len(data) != layout.size:
         raise ProtocolError(f"{cls.__name__} advert must be {layout.size} bytes, got {len(data)}")
-    return cls(*layout.unpack(data)[1:])
+    fields = layout.unpack(data)[1:]
+    if cls is ChunkToken:  # (video_id, chunk_index, token) on the wire
+        fields = fields[::-1]
+    return cls(*fields)

@@ -447,6 +447,40 @@ class TestUploadConflict:
         assert all(store.get(ObjectKey(r.video_id, "mp4")) == b"foreign footage" for r in records)
 
 
+class DownStore(MemoryObjectStore):
+    """Refuses every PUT, counting the attempts per video id."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts: dict[str, int] = {}
+
+    def put(self, key, data):
+        self.puts[key.video_id.hex()] = self.puts.get(key.video_id.hex(), 0) + 1
+        raise OctvError("store unreachable (injected)")
+
+
+class TestUploadsAtStop:
+    @pytest.mark.parametrize("kwargs", [{}, {"mode": Mode.DELAYED, "delay_s": 30}],
+                             ids=["auto", "delayed"])
+    def test_failed_upload_at_stop_is_abandoned(self, kwargs):
+        store = DownStore()
+        pipeline = run_pipeline(segments=2, store=store, run=False, segment_interval_s=2, **kwargs)
+        pipeline.camera.run()
+        camera, events = pipeline.camera, pipeline.events
+        assert camera._pending == []
+        assert all(r.state in ("uploaded", "abandoned") for r in camera.records)
+        abandoned = [r for r in camera.records if r.state == "abandoned"]
+        assert abandoned and all(r.container == b"" for r in abandoned)
+        # every announced attempt was made: attempt n is the (n + 1)th PUT
+        for e in events:
+            if e["event"] == "upload-retry":
+                assert store.puts[e["video_id"]] > e["attempt"]
+        gave_up = [e for e in events if e["event"] == "upload-abandoned"]
+        assert sorted(e["video_id"] for e in gave_up) == sorted(r.video_id.hex() for r in abandoned)
+        assert all(e["stream"] == "main" and e["error"] for e in gave_up)
+        assert events[-1]["event"] == "stop"
+
+
 class TestVideoIdCollision:
     def test_regenerates_on_collision(self):
         store = MemoryObjectStore()

@@ -462,10 +462,12 @@ class TestMalformedConfig:
         ({"location": "nan, inf", "duration_s": "1"}, "location"),
         ({"location": "91, 0", "duration_s": "1"}, "location"),
         ({"location": "0, -181", "duration_s": "1"}, "location"),
+        ({"chunk_count": "70000"}, "chunk_count"),
+        ({"moed": ""}, "moed"),
     ])
     def test_camera_config(self, tmp_path, capsys, override, key):
         config = write_camera_config(tmp_path / "camera.conf", tmp_path / "objects", **override)
-        assert cli.main(["camera", "run", "--config", str(config)]) == 1
+        assert cli.main(["camera", "run", "--config", str(config), "--duration", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
         assert str(config) in err[0] and key in err[0]
@@ -494,6 +496,7 @@ class TestMalformedConfig:
         ({**SCENARIO, "duraton_s": 60}, "duraton_s"),
         (with_camera(SCENARIO, radio={"radius_m": 10, "los_probability": 0.5}), "los_probability"),
         ({**SCENARIO, "subjects": [{"waypoints": [[0, 0, 0]], "trustd": False}]}, "trustd"),
+        (with_camera(SCENARIO, chunk_count=70000), "chunk_count"),
     ])
     def test_scenario(self, tmp_path, capsys, scenario, key):
         path = tmp_path / "scenario.json"

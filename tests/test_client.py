@@ -40,7 +40,6 @@ from octv.protocol import (
     Coordinates,
     KeyPacket,
     Mode,
-    TokenAnnouncement,
     encode_advertisement,
     encode_characteristic,
     encode_key_packet,
@@ -716,7 +715,7 @@ class TestListenerBehaviour:
         assert hear(camera, encode_advertisement(Beacon(bytes(8), 2))) == (7, 4)  # new seq
         assert hear(camera, beacon) == (8, 5)  # not the last beacon handled any more
         assert hear(other, beacon) == (13, 6)  # the cache is per sender
-        token = TokenAnnouncement(video_id=bytes(8), chunk_index=0, token=bytes(range(16)))
+        token = ChunkToken(video_id=bytes(8), chunk_index=0, token=bytes(range(16)))
         assert hear(camera, encode_advertisement(token)) == (13, 7)
         assert hear(camera, encode_advertisement(token)) == (13, 7)
         assert hear(camera, beacon) == (13, 7)  # beacons and tokens are cached apart

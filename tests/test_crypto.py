@@ -307,6 +307,59 @@ def build_chain(n: int, payload_size: int = 200) -> tuple[list[bytes], list[KeyP
     return files, packets
 
 
+class TestReadmeContainerTable:
+    """Containers built and read by README's table with AESGCM directly,
+    against the readers and writers in crypto.py."""
+
+    def test_both_schemes_agree_with_the_table(self):
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+        key, video_id = generate_key(), generate_video_id()
+        plaintext = secrets.token_bytes(100)
+        tokens = make_tokens(video_id, 3)
+        pieces = slicing_oracle(plaintext, 3)
+
+        def chunk_key(token):
+            material = token.token + video_id + token.chunk_index.to_bytes(2, "big")
+            return AESGCM(hashlib.sha256(material).digest())
+
+        def seal(scheme, body):  # magic (4) | version (1) | scheme (1) | nonce (12) | sealed body
+            header, nonce = b"OCTV" + bytes([0x01, scheme]), secrets.token_bytes(12)
+            return header + nonce + AESGCM(key).encrypt(nonce, body, header)
+
+        def open_by_table(container, scheme):
+            assert container[:6] == b"OCTV" + bytes([0x01, scheme])
+            return AESGCM(key).decrypt(container[6:18], container[18:], container[:6])
+
+        # chunk_count (2), then per chunk: chunk_index (2) | cipher_len (4) | nonce (12) | cipher
+        inner = (3).to_bytes(2, "big")
+        for token, piece in zip(tokens, pieces):
+            nonce = secrets.token_bytes(12)
+            cipher = chunk_key(token).encrypt(nonce, piece, b"")
+            inner += token.chunk_index.to_bytes(2, "big") + len(cipher).to_bytes(4, "big")
+            inner += nonce + cipher
+        assert decrypt_segment(seal(0x01, plaintext), key) == plaintext
+        assert decrypt_segment_chunked(seal(0x02, inner), key, tokens) == list(enumerate(pieces))
+
+        single = encrypt_segment(plaintext, key)
+        assert len(single) == len(plaintext) + 34
+        assert open_by_table(single, 0x01) == plaintext
+        body = open_by_table(encrypt_segment_chunked(plaintext, 3, key, tokens), 0x02)
+
+        def take(n):
+            nonlocal body
+            field, body = body[:n], body[n:]
+            return field
+
+        assert int.from_bytes(take(2), "big") == 3
+        for token, piece in zip(tokens, pieces):
+            assert int.from_bytes(take(2), "big") == token.chunk_index
+            cipher_len = int.from_bytes(take(4), "big")
+            nonce = take(12)
+            assert chunk_key(token).decrypt(nonce, take(cipher_len), b"") == piece
+        assert body == b""
+
+
 class TestVerifyChain:
     def test_untampered_three_segments_all_ok(self):
         files, packets = build_chain(3)

@@ -14,10 +14,10 @@ from octv.protocol import (
     CHAR_URL_FORMAT,
     Beacon,
     CameraDescriptor,
+    ChunkToken,
     Coordinates,
     KeyPacket,
     Mode,
-    TokenAnnouncement,
     characteristic_uuid,
     decode_advertisement,
     decode_characteristic,
@@ -187,10 +187,12 @@ class TestParseHex:
             parse_hex(text)
 
 
-# No module but protocol.py's layouts slices wire data or checks a wire
-# length by a literal; each pattern is one way the layouts were once bypassed.
+# No module slices wire or container bytes, or checks a wire length, by a
+# literal: the struct layouts are the one source of each offset and length.
+# Each pattern is one way the layouts were once bypassed.
 _HAND_WRITTEN_WIRE = re.compile(
     r'data\[[0-9]+:[0-9]+\]|len\([a-z_.]+\) != (8|10|27|64)\b|\{16\}|"utf-8"\)\)\.digest\(\)\[:8\]'
+    r"|offset \+ [0-9]+"
 )
 
 
@@ -320,14 +322,14 @@ class TestAdvertisements:
 
     def test_token_length_within_budget(self):
         encoded = encode_advertisement(
-            TokenAnnouncement(video_id=bytes(8), chunk_index=3, token=bytes(16))
+            ChunkToken(video_id=bytes(8), chunk_index=3, token=bytes(16))
         )
         assert len(encoded) == 27
         assert len(encoded) <= 31
 
     def test_token_chunk_index_big_endian(self):
         encoded = encode_advertisement(
-            TokenAnnouncement(video_id=bytes(8), chunk_index=0x0102, token=bytes(16))
+            ChunkToken(video_id=bytes(8), chunk_index=0x0102, token=bytes(16))
         )
         assert encoded[9:11] == b"\x01\x02"
 
@@ -354,5 +356,5 @@ class TestAdvertisements:
         st.binary(min_size=16, max_size=16),
     )
     def test_token_roundtrip(self, video_id, index, token):
-        announcement = TokenAnnouncement(video_id=video_id, chunk_index=index, token=token)
+        announcement = ChunkToken(video_id=video_id, chunk_index=index, token=token)
         assert decode_advertisement(encode_advertisement(announcement)) == announcement
