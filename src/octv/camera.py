@@ -344,9 +344,9 @@ def parse_camera_config(path) -> CameraConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class SegmentRecord:
-    """A finalized segment; the key is never stored here."""
+    """A finalized segment, equal only to itself; the key is never stored here."""
 
     video_id: bytes
     seq: int
@@ -404,7 +404,6 @@ class CameraRuntime:
         # each stream's chain: the hash prefix of its last sealed file
         streams = ("main", "tier") if config.tiering else ("main",)
         self._prev_hash = dict.fromkeys(streams, crypto.ZERO_HASH_PREFIX)
-        self._boundary_t = 0.0
         self._next_beacon_t = 0.0
         self._next_token_t: float | None = None
         self._pending: list[tuple[float, SegmentRecord, int]] = []  # (due, record, attempt)
@@ -477,7 +476,7 @@ class CameraRuntime:
         pending, self._pending = self._pending, []
         for _, record, attempt in pending:
             self._try_upload(record, t, attempt, last=True)
-        self._emit({"event": "stop", "t": t})
+        self._emit({"event": "stop", "t": t, "withheld": [v.hex() for v in self._withheld]})
         self._stopped = True
 
     # -- event loop ---------------------------------------------------------
@@ -485,8 +484,9 @@ class CameraRuntime:
     def _next_event(self) -> tuple[float, int, tuple | None] | None:
         """The earliest event as (due, priority, its ``_pending`` entry or None)."""
         candidates: list[tuple[float, int, tuple | None]] = []
-        if self._segment is not None:
-            candidates.append((self._boundary_t, _EV_BOUNDARY, None))
+        segment = self._segment
+        if segment is not None:
+            candidates.append((segment.start_t + self.config.segment_interval_s, _EV_BOUNDARY, None))
             candidates.append((self._next_beacon_t, _EV_BEACON, None))
             if self._next_token_t is not None:
                 candidates.append((self._next_token_t, _EV_TOKEN, None))
@@ -501,8 +501,7 @@ class CameraRuntime:
         if priority == _EV_BOUNDARY:
             self._on_boundary(when)
         elif priority == _EV_UPLOAD:
-            # by identity: records with equal fields are still distinct uploads
-            del self._pending[next(i for i, e in enumerate(self._pending) if e is entry)]
+            self._pending.remove(entry)
             self._try_upload(entry[1], when, entry[2])
         elif priority == _EV_BEACON:
             self._emit_beacon(when)
@@ -566,7 +565,6 @@ class CameraRuntime:
             files[0].tokens = [ChunkToken(crypto.generate_token(), i, video_id)
                                for i in range(config.chunking.chunk_count)]
             self._segment.token_adverts = [encode_advertisement(token) for token in files[0].tokens]
-        self._boundary_t = t + config.segment_interval_s
         self._next_beacon_t = t
         self._emit_beacon(t)
         if config.chunking is not None:
@@ -623,9 +621,7 @@ class CameraRuntime:
             oldest = next(iter(self._withheld))
             evicted = self._withheld.pop(oldest)
             self._withheld_bytes -= len(evicted.container)
-            evicted.state = "evicted"
-            evicted.container = b""  # the footage is gone, as the event says
-            self._emit({"event": "withheld-evicted", "video_id": oldest.hex()})
+            self._settle(evicted, "evicted", record.end_t, "withheld-evicted")
         self._emit(
             {"event": "withhold", "t": record.end_t, "video_id": record.video_id.hex(),
              "seq": record.seq}
@@ -641,21 +637,11 @@ class CameraRuntime:
                 # our own earlier PUT whose reply was lost, or another object
                 # stored under the id since its HEAD check
                 if self.store.get(key) != record.container:
-                    record.state = "conflict"
-                    record.container = b""
-                    self._emit(
-                        {"event": "upload-conflict", "t": t, "video_id": record.video_id.hex(),
-                         "object": key.path, "stream": record.stream}
-                    )
+                    self._settle(record, "conflict", t, "upload-conflict", object=key.path)
                     return
         except (OctvError, OSError) as exc:
             if last:
-                record.state = "abandoned"
-                record.container = b""
-                self._emit(
-                    {"event": "upload-abandoned", "t": t, "video_id": record.video_id.hex(),
-                     "stream": record.stream, "error": str(exc)}
-                )
+                self._settle(record, "abandoned", t, "upload-abandoned", error=str(exc))
                 return
             backoff = min(2.0**attempt, _BACKOFF_CAP_S)
             self._pending.append((t + backoff, record, attempt + 1))
@@ -664,12 +650,14 @@ class CameraRuntime:
                  "attempt": attempt + 1, "error": str(exc)}
             )
             return
-        record.state = "uploaded"
-        record.container = b""  # local ciphertext copy erased after upload
-        self._emit(
-            {"event": "upload", "t": t, "video_id": record.video_id.hex(),
-             "object": key.path, "stream": record.stream}
-        )
+        self._settle(record, "uploaded", t, "upload", object=key.path)
+
+    def _settle(self, record: SegmentRecord, state: str, t: float, event: str, **fields) -> None:
+        """End a sealed file in ``state``: its local ciphertext is erased, as ``event`` says."""
+        record.state = state
+        record.container = b""
+        self._emit({"event": event, "t": t, "video_id": record.video_id.hex(),
+                    "stream": record.stream, **fields})
 
     def release_segment(self, video_id: bytes) -> None:
         """Operator release of a withheld segment (manual mode only)."""

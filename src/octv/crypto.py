@@ -31,7 +31,9 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import ConfigError, FormatError, IntegrityError
-from .protocol import HASH_PREFIX_LEN, KEY_LEN, TOKEN_LEN, VIDEO_ID_LEN, ChunkToken, KeyPacket
+from .protocol import (
+    HASH_PREFIX_LEN, KEY_LEN, MAX_CHUNK_COUNT, TOKEN_LEN, VIDEO_ID_LEN, ChunkToken, KeyPacket,
+)
 
 MAGIC = b"OCTV"
 VERSION = 0x01
@@ -44,6 +46,7 @@ TAG_LEN = 16
 _HEADER = struct.Struct(f">{len(MAGIC)}sBB{NONCE_LEN}s")  # magic, version, scheme, nonce
 _CHUNK_COUNT = struct.Struct(">H")
 _CHUNK_RECORD = struct.Struct(f">HI{NONCE_LEN}s")  # chunk_index, cipher_len, nonce
+_CHUNK_INDEX = struct.Struct(">H")  # a chunk key's position input
 HEADER_LEN = _HEADER.size - NONCE_LEN  # the part bound as associated data
 SINGLE_OVERHEAD = _HEADER.size + TAG_LEN  # 34 bytes
 ZERO_HASH_PREFIX = bytes(HASH_PREFIX_LEN)  # first packet's sentinel
@@ -135,7 +138,7 @@ def derive_chunk_key(token: ChunkToken) -> bytes:
     SHA-256(token || video_id || chunk_index as 2-byte BE); deterministic,
     and binds the token to its video and position.
     """
-    material = token.token + token.video_id + struct.pack(">H", token.chunk_index)
+    material = token.token + token.video_id + _CHUNK_INDEX.pack(token.chunk_index)
     return hashlib.sha256(material).digest()
 
 
@@ -153,8 +156,8 @@ def encrypt_segment_chunked(
     Each chunk is independently encrypted under its token-derived key;
     the concatenated records are then sealed under ``final_key``.
     """
-    if chunk_count < 1:
-        raise ConfigError(f"chunk_count must be >= 1, got {chunk_count}")
+    if not 1 <= chunk_count <= MAX_CHUNK_COUNT:
+        raise ConfigError(f"chunk_count must be 1-{MAX_CHUNK_COUNT}, got {chunk_count}")
     if len(tokens) != chunk_count:
         raise ConfigError(f"need {chunk_count} tokens, got {len(tokens)}")
     video_ids = {t.video_id for t in tokens}

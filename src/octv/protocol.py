@@ -31,7 +31,6 @@ _KEY_PACKET = struct.Struct(f">{KEY_LEN}sBH{VIDEO_ID_LEN}s{HASH_PREFIX_LEN}s")
 _BEACON = struct.Struct(f">B{CAMERA_ID_LEN}sB")  # kind, camera_id, seq
 _TOKEN_ADVERT = struct.Struct(f">B{VIDEO_ID_LEN}sH{TOKEN_LEN}s")  # kind, video_id, chunk, token
 _LOCATION = struct.Struct(">Bdd")  # kind, latitude, longitude
-KEY_PACKET_LEN = _KEY_PACKET.size
 
 # The one text form of bytes: two hex digits per byte, either case.
 _HEX_TEXT = re.compile("(?:[0-9a-fA-F]{2})*")

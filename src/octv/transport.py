@@ -31,7 +31,11 @@ from .clocks import RealClock
 from .errors import NoSuchCharacteristicError, ProtocolError, UnreachableError
 from .protocol import MAX_ADVERT_LEN
 
-ADDRESS_LEN = 6
+_ADDRESS = struct.Struct(">HI")  # a peer's 6-byte radio address
+ADDRESS_LEN = _ADDRESS.size
+# the hash inputs of a loss draw: the pair's seed, then the emission index
+_LOSS_SEED = struct.Struct(">q")
+_EMISSION = struct.Struct(">Q")
 
 _ORDER = attrgetter("_order")
 
@@ -77,13 +81,13 @@ class TransportRecord:
 
 def _loss_prefix(seed: int, sender: bytes, receiver: bytes):
     """SHA-256 fed one pair's part of every loss draw; draws copy it."""
-    return hashlib.sha256(struct.pack(">q", seed) + sender + receiver)
+    return hashlib.sha256(_LOSS_SEED.pack(seed) + sender + receiver)
 
 
 def _draw(prefix, emission_index: int) -> float:
     """Uniform draw in [0,1) from a pair's prefix and an emission index."""
     h = prefix.copy()
-    h.update(struct.pack(">Q", emission_index))
+    h.update(_EMISSION.pack(emission_index))
     return int.from_bytes(h.digest()[:8], "big") / 2**64
 
 
@@ -181,7 +185,7 @@ class SimTransport:
 
     def join(self, kind: str, position=None, range_model: RangeModel | None = None) -> SimPeer:
         with self._lock:
-            address = struct.pack(">HI", 0x0200, len(self._peers) + 1)
+            address = _ADDRESS.pack(0x0200, len(self._peers) + 1)
             peer = SimPeer(self, address, kind, position, range_model)
             self._peers.append(peer)
             self._by_address[address] = peer
@@ -311,17 +315,16 @@ class SimTransport:
 
 # --- UDP bus backend -------------------------------------------------------
 #
-# Frames on the wire:
-#   0x41 'A' | sender address (6) | advertisement payload
-#   0x51 'Q' | reader address (6) | query id (2 BE) | characteristic suffix (2 BE)
-#   0x56 'V' | query id (2 BE) | status (0 ok, 1 no-such-characteristic) | value
-#
-# Replies echo the query id so a read issued from inside an advert
-# callback cannot be answered with another read's value.
+# Each frame on the wire is a kind byte and a fixed layout; an advert's
+# payload and a reply's value follow it. Replies echo the query id so a read
+# issued from inside an advert callback cannot be answered with another
+# read's value.
 
-_FRAME_ADV = 0x41
-_FRAME_QUERY = 0x51
-_FRAME_VALUE = 0x56
+_ADVERT_FRAME = struct.Struct(f">c{ADDRESS_LEN}s")  # b"A", sender address
+_QUERY_FRAME = struct.Struct(f">c{ADDRESS_LEN}sHH")  # b"Q", reader address, query id, suffix
+_VALUE_FRAME = struct.Struct(">cHB")  # b"V", query id, status
+_ADVERT, _QUERY, _VALUE = b"A", b"Q", b"V"
+_SERVED, _NOT_SERVED = 0, 1  # a reply's status
 
 # A change made in the same timestamp tick as the last one leaves the bus
 # directory's mtime as it was, so a registry read within this long of that
@@ -339,7 +342,7 @@ class UdpBusPeer:
         self.clock = clock if clock is not None else RealClock()
         self._scan_cb = None
         self._characteristics = None
-        self._replies: dict[int, bytes] = {}
+        self._replies: dict[int, tuple[int, bytes]] = {}  # query id -> (status, value)
         self._advert_queue: list[tuple[bytes, bytes]] = []
         self._dispatching = False
         self._next_query_id = 0
@@ -390,7 +393,7 @@ class UdpBusPeer:
 
     def advertise(self, payload: bytes) -> None:
         _check_advert_len(payload)
-        frame = bytes([_FRAME_ADV]) + self.address + payload
+        frame = _ADVERT_FRAME.pack(_ADVERT, self.address) + payload
         for port in self._registry().values():
             self._sock.sendto(frame, ("127.0.0.1", port))
 
@@ -402,15 +405,15 @@ class UdpBusPeer:
             raise UnreachableError(f"no peer registered at {target_address.hex()}")
         query_id = self._next_query_id
         self._next_query_id = (self._next_query_id + 1) % 0x10000
-        frame = bytes([_FRAME_QUERY]) + self.address + struct.pack(">HH", query_id, suffix)
+        frame = _QUERY_FRAME.pack(_QUERY, self.address, query_id, suffix)
         self._sock.sendto(frame, ("127.0.0.1", port))
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
             self._receive(timeout=0.2)
             reply = self._replies.pop(query_id, None)
             if reply is not None:
-                status, value = reply[0], reply[1:]
-                if status == 0:
+                status, value = reply
+                if status == _SERVED:
                     return value
                 raise NoSuchCharacteristicError(f"characteristic {suffix:#06x} not served")
         raise UnreachableError(f"peer {target_address.hex()} did not answer read")
@@ -424,24 +427,22 @@ class UdpBusPeer:
             except (socket.timeout, BlockingIOError):
                 return
             self._sock.settimeout(0.0)
-            if not frame:
-                continue
-            kind = frame[0]
-            if kind == _FRAME_ADV and len(frame) >= 1 + ADDRESS_LEN:
-                self._advert_queue.append((frame[1 : 1 + ADDRESS_LEN], frame[1 + ADDRESS_LEN :]))
-            elif kind == _FRAME_QUERY and len(frame) == 1 + ADDRESS_LEN + 4:
-                query_id, suffix = struct.unpack(">HH", frame[1 + ADDRESS_LEN :])
+            if frame.startswith(_ADVERT) and len(frame) >= _ADVERT_FRAME.size:
+                _, sender = _ADVERT_FRAME.unpack_from(frame)
+                self._advert_queue.append((sender, frame[_ADVERT_FRAME.size :]))
+            elif frame.startswith(_QUERY) and len(frame) == _QUERY_FRAME.size:
+                _, _, query_id, suffix = _QUERY_FRAME.unpack(frame)
                 if self._characteristics is None:
                     continue
                 try:
                     value = self._characteristics(suffix)
-                    reply = bytes([_FRAME_VALUE]) + struct.pack(">H", query_id) + b"\x00" + value
+                    reply = _VALUE_FRAME.pack(_VALUE, query_id, _SERVED) + value
                 except NoSuchCharacteristicError:
-                    reply = bytes([_FRAME_VALUE]) + struct.pack(">H", query_id) + b"\x01"
+                    reply = _VALUE_FRAME.pack(_VALUE, query_id, _NOT_SERVED)
                 self._sock.sendto(reply, source)
-            elif kind == _FRAME_VALUE and len(frame) >= 4:
-                (query_id,) = struct.unpack(">H", frame[1:3])
-                self._replies[query_id] = frame[3:]
+            elif frame.startswith(_VALUE) and len(frame) >= _VALUE_FRAME.size:
+                _, query_id, status = _VALUE_FRAME.unpack_from(frame)
+                self._replies[query_id] = (status, frame[_VALUE_FRAME.size :])
 
     def pump(self, timeout: float = 0.0) -> None:
         """Receive pending datagrams and dispatch queued advertisements."""

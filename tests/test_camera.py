@@ -318,6 +318,15 @@ class TestManualMode:
         assert list(camera._withheld)[0] == third
         assert pipeline.store.contains(ObjectKey(second, "mp4"))
 
+    def test_stop_names_the_withheld_footage(self):
+        pipeline = run_pipeline(segments=2, mode=Mode.MANUAL)
+        records = pipeline.camera.records
+        assert [r.state for r in records] == ["withheld", "withheld"]
+        stop = pipeline.events[-1]
+        assert stop["event"] == "stop"
+        assert stop["withheld"] == [r.video_id.hex() for r in records]
+        assert run_pipeline(segments=2).events[-1]["withheld"] == []
+
     def test_evicted_ciphertext_is_dropped(self):
         budget = 4096
         pipeline = run_pipeline(segments=200, mode=Mode.MANUAL, run=False, rate=1000)
@@ -479,6 +488,31 @@ class TestUploadsAtStop:
         assert sorted(e["video_id"] for e in gave_up) == sorted(r.video_id.hex() for r in abandoned)
         assert all(e["stream"] == "main" and e["error"] for e in gave_up)
         assert events[-1]["event"] == "stop"
+
+
+def evicting_manual_run():
+    pipeline = run_pipeline(segments=4, mode=Mode.MANUAL, run=False, rate=1000)
+    pipeline.config.withheld_budget_bytes = 2 * (2000 + 34) + 100  # room for two
+    pipeline.camera.run()
+    return pipeline
+
+
+@pytest.mark.parametrize("event, state, run", [
+    ("upload", "uploaded", lambda: run_pipeline(segments=2)),
+    ("upload-conflict", "conflict", lambda: run_pipeline(segments=2, store=RacedStore())),
+    ("upload-abandoned", "abandoned", lambda: run_pipeline(segments=2, store=DownStore())),
+    ("withheld-evicted", "evicted", evicting_manual_run),
+], ids=["uploaded", "conflict", "abandoned", "evicted"])
+def test_every_way_a_segment_ends_says_so_alike(event, state, run):
+    pipeline = run()
+    records = {r.video_id.hex(): r for r in pipeline.camera.records}
+    ended = [e for e in pipeline.events if e["event"] == event]
+    assert ended
+    for e in ended:
+        record = records[e["video_id"]]
+        assert e["stream"] == record.stream
+        assert e["t"] >= record.end_t
+        assert record.state == state and record.container == b""
 
 
 class TestVideoIdCollision:

@@ -254,6 +254,11 @@ class TestChunkedContainer:
         with pytest.raises(ConfigError):
             encrypt_segment_chunked(b"x", 3, key, shuffled)
 
+    def test_chunk_count_the_container_cannot_carry_is_refused(self):
+        tokens = make_tokens(generate_video_id(), 65536)  # indices 0-65535, each valid
+        with pytest.raises(ConfigError, match="^chunk_count must be 1-65535, got 65536$"):
+            encrypt_segment_chunked(b"x", 65536, generate_key(), tokens)
+
     def test_container_scheme_sniffing(self):
         key = generate_key()
         assert container_scheme(encrypt_segment(b"x", key)) == 0x01

@@ -206,6 +206,24 @@ def test_no_module_hand_writes_a_wire_offset_or_length():
     assert hits == []
 
 
+# a literal struct format at the call, a frame sliced at a literal offset, or
+# an offset counted past the address by hand
+_UNNAMED_LAYOUT = re.compile(
+    r"struct\.(pack|unpack|unpack_from|pack_into|iter_unpack|calcsize)\("
+    r"|\bframe\[[0-9]|[0-9] \+ ADDRESS_LEN"
+)
+
+
+def test_every_binary_layout_is_a_named_struct():
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(octv.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if _UNNAMED_LAYOUT.search(line)
+    ]
+    assert hits == []
+
+
 class TestUrlExtension:
     @pytest.mark.parametrize("template, extension", [
         ("https://files.example/{id}.mp4", "mp4"),

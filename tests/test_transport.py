@@ -1,7 +1,9 @@
 import math
 import os
+import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -448,6 +450,66 @@ class TestUdpBus:
                 listener.read_characteristic(b"\x00" * 6, 0x0011)
         finally:
             listener.close()
+
+
+class TestUdpBusFrames:
+    """Each bus frame byte for byte, as a plain UDP socket registered on the bus sees it."""
+
+    ADDRESS = bytes.fromhex("0f0e0d0c0b0a")
+
+    @pytest.fixture
+    def bus(self, tmp_path):
+        bus_dir = tmp_path / "bus"
+        bus_dir.mkdir()
+        raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        raw.bind(("127.0.0.1", 0))
+        raw.settimeout(2.0)
+        (bus_dir / f"{self.ADDRESS.hex()}.peer").write_text(f"{raw.getsockname()[1]} raw\n")
+        peers = []
+
+        def join(kind):
+            peers.append(UdpBusPeer(bus_dir, kind))
+            return peers[-1]
+
+        yield raw, join
+        for peer in peers:
+            peer.close()
+        raw.close()
+
+    def test_advert_frame(self, bus):
+        raw, join = bus
+        camera = join("camera")
+        camera.advertise(b"x")
+        assert raw.recvfrom(65536)[0] == b"A" + camera.address + b"x"
+
+    @pytest.mark.parametrize("suffix, reply", [
+        (b"\x00\x11", b"V\x12\x34\x00" + b"value"),
+        (b"\x77\x77", b"V\x12\x34\x01"),
+    ], ids=["served", "not-served"])
+    def test_query_frame_is_answered_with_a_value_frame(self, bus, suffix, reply):
+        raw, join = bus
+        camera = join("camera")
+
+        def resolver(suffix):
+            if suffix == 0x0011:
+                return b"value"
+            raise NoSuchCharacteristicError(f"{suffix:#06x}")
+
+        camera.serve_characteristics(resolver)
+        raw.sendto(b"Q" + self.ADDRESS + b"\x12\x34" + suffix, ("127.0.0.1", camera.port))
+        camera.pump(timeout=1.0)
+        assert raw.recvfrom(65536)[0] == reply
+
+    def test_read_sends_a_query_frame_and_returns_the_value_frame(self, bus):
+        raw, join = bus
+        listener = join("listener")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            read = pool.submit(listener.read_characteristic, self.ADDRESS, 0x0011)
+            frame, source = raw.recvfrom(65536)
+            query_id = frame[7:9]
+            assert frame == b"Q" + listener.address + query_id + b"\x00\x11"
+            raw.sendto(b"V" + query_id + b"\x00" + b"answer", source)
+            assert read.result(timeout=5) == b"answer"
 
 
 class TestUdpBusRegistry:
