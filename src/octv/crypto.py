@@ -102,8 +102,9 @@ def _open(container: bytes, scheme: int, key: bytes) -> bytes:
     if len(container) < SINGLE_OVERHEAD:
         raise FormatError(f"container too short: {len(container)} bytes")
     nonce = _HEADER.unpack_from(container)[-1]
+    view = memoryview(container)  # the ciphertext is read in place, not copied out
     try:
-        return AESGCM(key).decrypt(nonce, container[_HEADER.size :], container[:HEADER_LEN])
+        return AESGCM(key).decrypt(nonce, view[_HEADER.size :], view[:HEADER_LEN])
     except InvalidTag:
         raise IntegrityError(_AUTH_FAILED[scheme]) from None
 
@@ -188,6 +189,7 @@ def decrypt_segment_chunked(
     if len(inner) < _CHUNK_COUNT.size:
         raise FormatError("chunked body truncated")
     (chunk_count,) = _CHUNK_COUNT.unpack_from(inner)
+    view = memoryview(inner)  # each chunk's ciphertext is read in place
     results: list[tuple[int, bytes | None]] = []
     offset = _CHUNK_COUNT.size
     prev_index = -1
@@ -198,7 +200,7 @@ def decrypt_segment_chunked(
         offset += _CHUNK_RECORD.size
         if offset + cipher_len > len(inner):
             raise FormatError("chunk ciphertext truncated")
-        cipher = inner[offset : offset + cipher_len]
+        cipher = view[offset : offset + cipher_len]
         offset += cipher_len
         if index <= prev_index:
             raise FormatError(f"chunk indices not strictly increasing at {index}")

@@ -138,7 +138,12 @@ class FsObjectStore:
 _MAX_LINE = 65536  # http.client's limits: bytes in one head line,
 _MAX_HEADERS = 100  # and lines in one head, its blank end line counted
 _PIECE = 1 << 20  # bodies are read in pieces this size, so a claimed length allocates nothing
-_FIELD = re.compile(r"([^\s:]+):[ \t]*(.*?)[ \t]*")
+# a client's read buffer: a 32 KiB catch-up segment and its reply head fit, so a reply
+# that has arrived whole is read in one receive
+_REPLY_BUFFER = 64 * 1024
+# a field line: ``name:``, then the value to the line's end. Its trailing CR and blanks
+# are stripped after the match: a lazy value would retry the tail at every character
+_FIELD = re.compile(r"([^\s:]+):[ \t]*(.*)\n")
 _YIELD = getattr(os, "sched_yield", None)  # not on Windows
 
 
@@ -160,24 +165,26 @@ def _read_headers(reader) -> dict[str, str]:
     """
     headers = {}
     last = None
+    readline = reader.readline
     for _ in range(_MAX_HEADERS):
-        line = reader.readline(_MAX_LINE + 1)
+        line = readline(_MAX_LINE + 1)
         if len(line) > _MAX_LINE:
             raise _HeadError(431, "Line too long")
         if line in (b"\r\n", b"\n"):
             return headers
-        if not line.endswith(b"\n"):
-            raise _HeadError(400, "Head cut short")
-        text = line.decode("latin-1").rstrip("\r\n")
-        if last is not None and text[:1] in (" ", "\t"):
+        field = _FIELD.fullmatch(str(line, "latin-1"))
+        if field is None:  # no ending newline, an obs-fold line, or not a field
+            if not line.endswith(b"\n"):
+                raise _HeadError(400, "Head cut short")
+            text = str(line, "latin-1").rstrip("\r\n")
+            if last is None or text[:1] not in (" ", "\t"):
+                raise _HeadError(400, f"Bad header line ({text[:80]!r})")
             headers[last] = f"{headers[last]} {text.strip()}".lstrip()
             continue
-        match = _FIELD.fullmatch(text)
-        if match is None:
-            raise _HeadError(400, f"Bad header line ({text[:80]!r})")
-        name = match[1].lower()
+        name, value = field.groups()
+        name = name.lower()
         if name not in headers:
-            headers[name] = match[2]
+            headers[name] = value.rstrip("\r").rstrip(" \t")
             last = name
         elif name == "content-length":
             raise _HeadError(400, "Repeated Content-Length")
@@ -186,18 +193,19 @@ def _read_headers(reader) -> dict[str, str]:
     raise _HeadError(431, "Too many headers")
 
 
-def _read_body(reader, length: int) -> bytes:
+def _read_body(reader, length: int, buffered: int) -> bytes:
     """The next ``length`` bytes, fewer only at end of stream.
 
-    A body longer than the read buffer is likely still being sent. When
-    its sender is a thread sharing this CPU (a store and its client in one
-    process), yielding first lets it finish, and the body is read whole.
-    A reader that instead sleeps on each piece is woken while the sender
-    still runs, and the scheduler then tends to part the two threads onto
-    separate CPUs, where every later hand-off is a cross-CPU wake-up.
-    With nothing else runnable here, the yield returns at once.
+    A body longer than the reader's buffer, ``buffered`` bytes, is likely
+    still being sent. When its sender is a thread sharing this CPU (a
+    store and its client in one process), yielding first lets it finish,
+    and the body is read whole. A reader that instead sleeps on each piece
+    is woken while the sender still runs, and the scheduler then tends to
+    part the two threads onto separate CPUs, where every later hand-off is
+    a cross-CPU wake-up. With nothing else runnable here, the yield
+    returns at once.
     """
-    if length > io.DEFAULT_BUFFER_SIZE and _YIELD is not None:
+    if length > buffered and _YIELD is not None:
         _YIELD()
     pieces = []
     while length > 0:
@@ -311,7 +319,7 @@ class _StoreHandler(socketserver.StreamRequestHandler):
             self._refuse(status, b"Content-Length must be a decimal byte count\n")
             return
         length = int(raw_length)
-        data = _read_body(self.rfile, length)
+        data = _read_body(self.rfile, length, io.DEFAULT_BUFFER_SIZE)  # rfile's buffer size
         if len(data) < length:  # the client went away mid-upload: store nothing
             self._refuse(400, b"body shorter than Content-Length\n")
             return
@@ -450,7 +458,7 @@ class _Connection:
             sock.close()
             raise
         self.sock = sock
-        self.reader = sock.makefile("rb")
+        self.reader = sock.makefile("rb", _REPLY_BUFFER)
         name = host if host.isascii() else host.encode("idna").decode()
         name = f"[{name}]" if ":" in name else name
         self.host = name if port is None else f"{name}:{port}"
@@ -470,7 +478,8 @@ class _Connection:
         if body is not None:
             head += f"Content-Length: {len(body)}\r\n"
         head = (head + "\r\n").encode("ascii")
-        self.sock.settimeout(timeout)
+        if timeout != self.sock.gettimeout():  # set at connect; a request may ask for another
+            self.sock.settimeout(timeout)
         try:
             self.sock.sendall(head)
             if body:
@@ -504,7 +513,7 @@ class _Connection:
             return status, self.reader.read(), False  # the body ends where the connection does
         if not (length.isascii() and length.isdigit()):
             raise ValueError(f"bad Content-Length {length[:80]!r}")
-        data = _read_body(self.reader, int(length))
+        data = _read_body(self.reader, int(length), _REPLY_BUFFER)
         if len(data) < int(length):
             raise ValueError(f"body cut short at {len(data)} of {length} bytes")
         return status, data, reusable
@@ -521,7 +530,7 @@ class _Connection:
                     raise ValueError(f"negative chunk size {size}")
                 _read_headers(self.reader)  # the trailer, not used
                 return b"".join(pieces)
-            pieces.append(_read_body(self.reader, size))
+            pieces.append(_read_body(self.reader, size, _REPLY_BUFFER))
             if len(pieces[-1]) < size or self.reader.readline(3) not in (b"\r\n", b"\n"):
                 raise ValueError("chunk cut short")
 

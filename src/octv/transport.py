@@ -371,18 +371,27 @@ class UdpBusPeer:
         return self._peers
 
     def _read_registry(self) -> dict[bytes, int]:
+        """The peers listed now. A ``.peer`` file is renamed into place whole and named
+        by its peer's address, so its port never changes: only a name not known yet is
+        opened, and a name that has gone is dropped."""
         peers = {}
         for name in sorted(os.listdir(self.bus_dir)):
             if not name.endswith(".peer"):
                 continue
             try:
                 address = bytes.fromhex(name[: -len(".peer")])
-                with open(os.path.join(self.bus_dir, name), encoding="ascii") as fh:
-                    port = int(fh.read().split()[0])
-            except (ValueError, OSError, IndexError):
+            except ValueError:
                 continue
-            if address != self.address:
-                peers[address] = port
+            if address == self.address:
+                continue
+            port = self._peers.get(address)
+            if port is None:
+                try:
+                    with open(os.path.join(self.bus_dir, name), encoding="ascii") as fh:
+                        port = int(fh.read().split()[0])
+                except (ValueError, OSError, IndexError):
+                    continue
+            peers[address] = port
         return peers
 
     def on_advertisement(self, callback) -> None:

@@ -315,6 +315,31 @@ def fixed_status():
     httpd.server_close()
 
 
+class SettimeoutCounter:
+    """A socket whose ``settimeout`` calls are recorded in ``timeouts``."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.timeouts = []
+
+    def settimeout(self, timeout):
+        self.timeouts.append(timeout)
+        self._sock.settimeout(timeout)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class SlowStore(MemoryObjectStore):
+    """A store whose reads take ``delay`` seconds."""
+
+    delay = 0.0
+
+    def get(self, key):
+        time.sleep(self.delay)
+        return super().get(key)
+
+
 class TestPooledConnections:
     def test_idle_sockets_closed_at_exit(self):
         """Warnings raised at interpreter exit escape the suite's warning
@@ -412,6 +437,32 @@ class TestPooledConnections:
         assert not server._connections  # the server closed the idle connection
         assert fetch_url(url) == b"hi"
         assert len(connects) == 2
+
+    def test_timeout_is_set_only_when_a_request_changes_it(self, server, pool):
+        server, store = server
+        store.put(make_key(1), b"hi")
+        url = f"{server.base_url()}/{make_key(1).path}"
+        assert fetch_url(url) == b"hi"  # connects with the default timeout
+        (conn,) = [conn for idle in pool._idle.values() for conn in idle]
+        conn.sock = SettimeoutCounter(conn.sock)
+        for _ in range(5):
+            assert fetch_url(url, timeout=2.5) == b"hi"
+        assert conn.sock.timeouts == [2.5]
+
+    def test_reused_connection_takes_the_new_requests_timeout(self, pool):
+        """Connected with a 0.5 s timeout, then asked for 2 s, the connection waits 2 s."""
+        store = SlowStore()
+        store.put(make_key(1), b"hi")
+        server = StoreServer(store)
+        server.start()
+        try:
+            url = f"{server.base_url()}/{make_key(1).path}"
+            assert fetch_url(url, timeout=0.5) == b"hi"
+            store.delay = 1.0
+            assert fetch_url(url, timeout=2.0) == b"hi"
+            assert len(server.request_log) == 2 and len(server._connections) == 1
+        finally:
+            server.stop()
 
     def test_pool_stays_bounded(self, pool):
         servers = [StoreServer(MemoryObjectStore()) for _ in range(50)]
@@ -756,12 +807,33 @@ def test_any_request_head_gets_one_reply_or_a_close(server, tracebacks, line, fi
     assert tracebacks == []
 
 
+def in_pieces(data: bytes, sizes) -> list[bytes]:
+    """``data`` cut into pieces of the given sizes, the rest as one last piece."""
+    pieces = []
+    for size in sizes:
+        if data:
+            pieces.append(data[:size])
+            data = data[size:]
+    return pieces + [data] if data else pieces
+
+
+def send_in_pieces(sock, data: bytes, sizes) -> None:
+    """Send each piece on its own, with a pause so the peer may read it alone."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for piece in in_pieces(data, sizes):
+        sock.sendall(piece)
+        time.sleep(0.001)
+
+
 class RawReplyServer:
-    """Answers each connection's first request head with fixed bytes, then closes it."""
+    """Answers each connection's first request head with fixed bytes, then closes it.
+
+    With ``sizes`` set, the reply goes out in pieces of those sizes."""
 
     def __init__(self):
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.reply = b""
+        self.sizes = None
         self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}/{make_key(1).path}"
         threading.Thread(target=self._serve, daemon=True).start()
 
@@ -776,7 +848,10 @@ class RawReplyServer:
                 try:
                     while b"\r\n\r\n" not in head and (chunk := conn.recv(65536)):
                         head += chunk
-                    conn.sendall(self.reply)
+                    if self.sizes is None:
+                        conn.sendall(self.reply)
+                    else:
+                        send_in_pieces(conn, self.reply, self.sizes)
                 except OSError:
                     pass
 
@@ -849,12 +924,93 @@ def test_any_reply_gives_bytes_or_octv_error(raw_reply, pool, reply):
         pass
 
 
-@pytest.mark.parametrize("length, yields", [(io.DEFAULT_BUFFER_SIZE, 0),
-                                            (io.DEFAULT_BUFFER_SIZE + 1, 1)])
-def test_body_longer_than_the_buffer_yields_before_reading(monkeypatch, length, yields):
-    """A sender sharing this CPU gets to finish a long body before it is read."""
+@pytest.mark.parametrize("method, length, yields", [
+    ("GET", store_module._REPLY_BUFFER, 0), ("GET", store_module._REPLY_BUFFER + 1, 1),
+    ("PUT", io.DEFAULT_BUFFER_SIZE, 0), ("PUT", io.DEFAULT_BUFFER_SIZE + 1, 1),
+])
+def test_body_longer_than_the_buffer_yields_before_reading(server, pool, monkeypatch,
+                                                           method, length, yields):
+    """A sender sharing this CPU gets to finish a long body before it is read: a reply
+    body longer than the client's reply buffer, or an upload longer than the store's
+    8 KiB request buffer. A body that fits is read without a yield."""
+    server, store = server
     calls = []
     monkeypatch.setattr(store_module, "_YIELD", lambda: calls.append(None))
-    source = io.BytesIO(bytes(range(256)) * 64)
-    assert store_module._read_body(source, length) == source.getvalue()[:length]
+    body = (bytes(range(256)) * (length // 256 + 1))[:length]
+    client = HttpStoreClient(server.base_url())
+    if method == "GET":
+        store.put(make_key(1), body)
+        assert client.get(make_key(1)) == body
+    else:
+        client.put(make_key(1), body)
+        assert store.get(make_key(1)) == body
     assert len(calls) == yields
+
+
+def fetch_outcome(url: str):
+    """What ``fetch_url`` gives: its bytes, or the type and text of its error."""
+    try:
+        return fetch_url(url, timeout=2.0)
+    except OctvError as exc:
+        return type(exc), str(exc)
+
+
+SIZES = st.lists(st.integers(min_value=1, max_value=40), max_size=6)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(reply=REPLIES | st.sampled_from([
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"5\r\nfoota\r\n3;ext=1\r\nge \r\nb\r\nis all here\r\n0\r\nTrailer: x\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nfootage is all here",
+    b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 19\r\n\r\n"
+    b"footage is all here",
+]), sizes=SIZES)
+def test_reply_in_pieces_reads_as_the_whole_reply(raw_reply, pool, reply, sizes):
+    """A reply that arrives in pieces gives the same bytes or the same error."""
+    raw_reply.reply = reply
+    raw_reply.sizes = None
+    whole = fetch_outcome(raw_reply.url)
+    pool.close()
+    raw_reply.sizes = sizes
+    assert fetch_outcome(raw_reply.url) == whole
+    pool.close()
+
+
+def reply_status(port: int, head: bytes, sizes=None) -> int | None:
+    """The status of the store's one reply to ``head``, None for a close without one."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        try:
+            if sizes is None:
+                sock.sendall(head)
+            else:
+                send_in_pieces(sock, head, sizes)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the store replied and closed before the head was all sent
+            pass
+        replies = b""
+        try:
+            while chunk := sock.recv(65536):
+                replies += chunk
+        except ConnectionResetError:  # closed with part of the request unread
+            pass
+    return single_reply(replies) if replies else None
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(line=_no_newline(REQUEST_LINES), fields=st.lists(_no_newline(FIELDS), max_size=6),
+       sizes=SIZES)
+def test_request_head_in_pieces_gets_the_whole_heads_reply(server, tracebacks, line, fields,
+                                                           sizes):
+    """A request head that arrives in pieces is answered as if it came whole."""
+    server, _ = server
+    head = b"".join(f + b"\r\n" for f in [line, *fields]) + b"\r\n"
+    statuses = []
+    for cut in (None, sizes):
+        server.store = MemoryObjectStore()  # each delivery finds the same objects
+        server.store.put(make_key(1), b"hello")
+        statuses.append(reply_status(server.port, head, cut))
+    assert statuses[1] == statuses[0]
+    assert tracebacks == []

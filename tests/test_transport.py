@@ -3,6 +3,7 @@ import os
 import socket
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -569,6 +570,37 @@ class TestUdpBusRegistry:
         camera.advertise(b"left")
         late.pump(timeout=0.3)
         assert [payload for _, payload, _ in received] == [b"joined"]
+
+    def test_inside_the_racy_window_each_peer_file_is_opened_once(self, bus, monkeypatch):
+        """While the mtime is too recent to trust, every advert lists the directory,
+        but only a name not known yet is opened; a name that has gone is dropped."""
+        monkeypatch.setattr(transport_module, "_RACY_NS", 1 << 62)  # always inside it
+        path, join = bus
+        camera, listener = join("camera"), join()
+        opened = Counter()
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).endswith(".peer"):
+                opened[os.path.basename(file)] += 1
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(transport_module, "open", counting_open, raising=False)
+        for _ in range(5):
+            camera.advertise(b"two")
+        assert opened == {f"{listener.address.hex()}.peer": 1}
+        late = join()
+        for _ in range(5):
+            camera.advertise(b"three")
+        assert opened == {f"{listener.address.hex()}.peer": 1, f"{late.address.hex()}.peer": 1}
+        assert camera._registry() == {listener.address: listener.port, late.address: late.port}
+        late.close()
+        camera.advertise(b"two again")
+        assert camera._registry() == {listener.address: listener.port}
+        received, cb = collector()
+        listener.on_advertisement(cb)
+        listener.pump(timeout=0.5)
+        assert [payload for _, payload, _ in received] == (
+            [b"two"] * 5 + [b"three"] * 5 + [b"two again"])
 
     def test_join_in_the_same_tick_is_not_missed(self, bus):
         path, join = bus
