@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import crypto
 from .errors import (
@@ -54,15 +53,12 @@ _EV_UPLOAD = 1
 _EV_BEACON = 2
 _EV_TOKEN = 3
 
-# orders events by due time, then priority; an event's third field does not compare
-_DUE_THEN_PRIORITY = itemgetter(0, 1)
-
 _BACKOFF_CAP_S = 30.0
 
 _TIER_DIVISOR = 8  # the tier file keeps every 8th byte of the segment
 
-# key-packet characteristic -> place of its stream in a live segment's files
-_KEY_PACKET_PLACE = {CHAR_KEY_PACKET: 0, CHAR_TIER_KEY_PACKET: 1}
+# the key-packet characteristic of each stream, in the order of a live segment's files
+_KEY_PACKET_CHARS = (CHAR_KEY_PACKET, CHAR_TIER_KEY_PACKET)
 
 
 def synthetic_stream(seed: int, start: int, end: int) -> bytes:
@@ -70,11 +66,10 @@ def synthetic_stream(seed: int, start: int, end: int) -> bytes:
     if end <= start:
         return b""
     first, last = start // _STREAM_BLOCK, (end - 1) // _STREAM_BLOCK
-    chunks = []
-    for block in range(first, last + 1):
-        material = b"octv-synth" + seed.to_bytes(8, "big", signed=True) + block.to_bytes(8, "big")
-        chunks.append(hashlib.sha256(material).digest())
-    blob = b"".join(chunks)
+    prefix = b"octv-synth" + seed.to_bytes(8, "big", signed=True)
+    sha256 = hashlib.sha256
+    blob = b"".join([sha256(prefix + block.to_bytes(8, "big")).digest()
+                     for block in range(first, last + 1)])
     offset = start - first * _STREAM_BLOCK
     return blob[offset : offset + (end - start)]
 
@@ -372,6 +367,7 @@ class _LiveSegment:
     start_t: float
     files: list[_StreamFile]  # main first, then tier when tiering
     beacon: bytes  # the encoded beacon advert, the same all segment long
+    key_packets: dict[int, bytes]  # key-packet characteristic -> its encoded packet
     token_adverts: list[bytes] | None = None  # encoded token advert of each chunk
     buffer: bytearray = field(default_factory=bytearray)
 
@@ -398,6 +394,11 @@ class CameraRuntime:
         self.key_audit = key_audit
         self._video_id_source = crypto.generate_video_id
         self._emit = event_sink or _stdout_events
+        # worked out once, as the descriptor does not change: its characteristics
+        # and the extension of the objects the camera stores
+        self._descriptor_values = {which: encode_characteristic(config.descriptor, which)
+                                   for which in DESCRIPTOR_CHARS}
+        self._extension = config.extension
         self.records: list[SegmentRecord] = []
         self._segment: _LiveSegment | None = None
         self._seq = 0
@@ -452,14 +453,16 @@ class CameraRuntime:
 
     def advance_to(self, t: float) -> None:
         """Process every event due at or before ``t``, moving the clock to each."""
-        self.start()
+        if not self._started:
+            self.start()
+        clock = self.clock
         while not self._stopped:
             event = self._next_event()
             if event is None or event[0] > t:
                 break
-            self.clock.advance_to(event[0])
+            clock.advance_to(event[0])
             self._dispatch(event)
-        self.clock.advance_to(t)
+        clock.advance_to(t)
 
     def shutdown(self) -> None:
         """Finalize in-progress footage and make every pending upload's next attempt now.
@@ -482,19 +485,26 @@ class CameraRuntime:
     # -- event loop ---------------------------------------------------------
 
     def _next_event(self) -> tuple[float, int, tuple | None] | None:
-        """The earliest event as (due, priority, its ``_pending`` entry or None)."""
-        candidates: list[tuple[float, int, tuple | None]] = []
+        """The earliest event as (due, priority, its ``_pending`` entry or None).
+
+        Equal due times go by priority, and pending uploads by list order:
+        a later candidate wins only by being strictly earlier or, at the
+        same time, of a lower priority number.
+        """
+        due = priority = entry = None
         segment = self._segment
         if segment is not None:
-            candidates.append((segment.start_t + self.config.segment_interval_s, _EV_BOUNDARY, None))
-            candidates.append((self._next_beacon_t, _EV_BEACON, None))
-            if self._next_token_t is not None:
-                candidates.append((self._next_token_t, _EV_TOKEN, None))
-        for entry in self._pending:
-            candidates.append((entry[0], _EV_UPLOAD, entry))
-        if not candidates:
-            return None
-        return min(candidates, key=_DUE_THEN_PRIORITY)
+            due, priority = segment.start_t + self.config.segment_interval_s, _EV_BOUNDARY
+            if self._next_beacon_t < due:
+                due, priority = self._next_beacon_t, _EV_BEACON
+            token_t = self._next_token_t
+            if token_t is not None and token_t < due:
+                due, priority = token_t, _EV_TOKEN
+        for pending in self._pending:
+            pending_t = pending[0]
+            if due is None or pending_t < due or (pending_t == due and priority > _EV_UPLOAD):
+                due, priority, entry = pending_t, _EV_UPLOAD, pending
+        return None if due is None else (due, priority, entry)
 
     def _dispatch(self, event: tuple[float, int, tuple | None]) -> None:
         when, priority, entry = event
@@ -538,7 +548,7 @@ class CameraRuntime:
         for _ in range(3):
             video_id = self._video_id_source()
             try:
-                if not self.store.contains(ObjectKey(video_id, self.config.extension)):
+                if not self.store.contains(ObjectKey(video_id, self._extension)):
                     return video_id
             except OctvError:
                 return video_id  # store unreachable: never block the key broadcast
@@ -559,7 +569,9 @@ class CameraRuntime:
                                video_id=self._fresh_video_id(), prev_hash_prefix=prev_hash)
             files.append(_StreamFile(stream, packet))
         beacon = encode_advertisement(Beacon(camera_id=config.camera_id, seq=self._seq))
-        self._segment = _LiveSegment(seq=self._seq, start_t=t, files=files, beacon=beacon)
+        key_packets = {which: encode_key_packet(f.packet) for which, f in zip(_KEY_PACKET_CHARS, files)}
+        self._segment = _LiveSegment(seq=self._seq, start_t=t, files=files, beacon=beacon,
+                                     key_packets=key_packets)
         if config.chunking is not None:
             video_id = files[0].packet.video_id
             files[0].tokens = [ChunkToken(crypto.generate_token(), i, video_id)
@@ -629,7 +641,7 @@ class CameraRuntime:
 
     def _try_upload(self, record: SegmentRecord, t: float, attempt: int, last: bool = False) -> None:
         """Upload ``record``; on failure retry it later, or with ``last`` abandon it."""
-        key = ObjectKey(record.video_id, self.config.extension)
+        key = ObjectKey(record.video_id, self._extension)
         try:
             try:
                 self.store.put(key, record.container)
@@ -687,13 +699,12 @@ class CameraRuntime:
         self._next_token_t = t + self.config.chunking.token_advert_interval_ms / 1000.0
 
     def _resolve_characteristic(self, suffix: int) -> bytes:
-        descriptor = self.config.descriptor
-        if suffix in DESCRIPTOR_CHARS:
-            return encode_characteristic(descriptor, suffix)
-        place = _KEY_PACKET_PLACE.get(suffix)
-        if place is not None and self._segment is not None and place < len(self._segment.files):
-            return encode_key_packet(self._segment.files[place].packet)
-        raise NoSuchCharacteristicError(f"characteristic {suffix:#06x} not served")
+        value = self._descriptor_values.get(suffix)
+        if value is None and self._segment is not None:
+            value = self._segment.key_packets.get(suffix)
+        if value is None:
+            raise NoSuchCharacteristicError(f"characteristic {suffix:#06x} not served")
+        return value
 
     # -- operator control ---------------------------------------------------
 

@@ -13,6 +13,7 @@ keys and tokens for footage they were never in. The headline metrics:
 Identical (scenario, seed) inputs produce byte-identical reports.
 """
 
+import bisect
 import csv
 import dataclasses
 import json
@@ -129,10 +130,15 @@ class Scenario:
 
 
 def in_view(camera: SimCamera, position: tuple[float, float]) -> bool:
-    """Sector membership: within view depth and half-angle of orientation."""
+    """Sector membership: within view depth and half-angle of orientation.
+
+    A position outside the view disc's bounding box is out without a
+    ``hypot``, which is never below ``max(|dx|, |dy|)``.
+    """
     dx = position[0] - camera.position[0]
     dy = position[1] - camera.position[1]
-    if math.hypot(dx, dy) > camera.view_depth_m:
+    depth = camera.view_depth_m
+    if not (-depth <= dx <= depth and -depth <= dy <= depth) or math.hypot(dx, dy) > depth:
         return False
     bearing = math.degrees(math.atan2(dy, dx))
     diff = (bearing - camera.orientation_deg + 180.0) % 360.0 - 180.0
@@ -315,14 +321,13 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
 
     dt = scenario.timestep_s
     steps = int(round(scenario.duration_s / dt))
-    walks = [subject.trajectory.positions(k * dt for k in range(steps))
+    cameras = scenario.cameras
+    walks = [subject.trajectory.positions(map(dt.__mul__, range(steps)))  # k * dt
              for subject in scenario.subjects]
-    # in-view sample steps per (subject index, camera index)
-    view_samples: dict[tuple[int, int], set[int]] = {
-        (si, ci): set() for si in range(len(peers)) for ci in range(len(runtimes))
-    }
+    # in-view sample steps, ascending, per (subject index, camera index) ever in view
+    view_samples: dict[tuple[int, int], list[int]] = {}
 
-    cell_m, cells = _view_cells(scenario.cameras)
+    cell_m, cells = _view_cells(cameras)
 
     for k in range(steps):
         t = k * dt
@@ -331,8 +336,8 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
             position = next(walk)
             peer.set_position(position)
             for ci in cells.get(grid_cell(position, cell_m), ()):
-                if in_view(scenario.cameras[ci], position):
-                    view_samples[(si, ci)].add(k)
+                if in_view(cameras[ci], position):
+                    view_samples.setdefault((si, ci), []).append(k)
         for runtime in runtimes:
             runtime.advance_to(t)
     clock.advance_to(scenario.duration_s)
@@ -381,9 +386,13 @@ def _build_report(scenario, wallets, windows, view_samples, dt, steps) -> BleedR
         CameraMetrics(name=cam.config.descriptor.name) for cam in scenario.cameras
     ]
 
+    sample_time = dt.__mul__  # k * dt, which rises with k
+
     def in_view_seconds(si: int, ci: int, start: float, end: float) -> float:
-        samples = view_samples[(si, ci)]
-        count = sum(1 for k in samples if start <= k * dt < end)
+        # the samples k with start <= k * dt < end
+        samples = view_samples.get((si, ci), ())
+        count = (bisect.bisect_left(samples, end, key=sample_time)
+                 - bisect.bisect_left(samples, start, key=sample_time))
         return count * dt
 
     for si, (subject, wallet) in enumerate(zip(scenario.subjects, wallets)):
@@ -391,7 +400,7 @@ def _build_report(scenario, wallets, windows, view_samples, dt, steps) -> BleedR
         tokens = wallet.token_receipts()
         metrics.tokens_received = len(tokens)
         for ci in range(len(scenario.cameras)):
-            metrics.in_view_seconds += len(view_samples[(si, ci)]) * dt
+            metrics.in_view_seconds += len(view_samples.get((si, ci), ())) * dt
         for record in wallet.records:
             video_id = record.packet.video_id
             window = windows.get(video_id)

@@ -540,7 +540,8 @@ class _ConnectionPool:
 
     Idle connections are kept per origin (scheme, host, port): at most
     ``PER_ORIGIN`` of them, for the ``ORIGINS`` origins used most
-    recently. A reused connection that the server dropped while it sat
+    recently, whose netlocs are parsed once while they stay among them.
+    A reused connection that the server dropped while it sat
     idle is replaced by a fresh one, once. Redirects are not followed and
     proxy variables are not read.
     """
@@ -550,6 +551,7 @@ class _ConnectionPool:
 
     def __init__(self):
         self._idle: OrderedDict[tuple, list] = OrderedDict()
+        self._origins: OrderedDict[tuple, tuple] = OrderedDict()  # (scheme, netloc) -> origin
         self._lock = threading.Lock()
         self._tls = None
 
@@ -558,12 +560,11 @@ class _ConnectionPool:
         """Send one request to a split URL; returns the status and the body read whole."""
         conn = None
         try:
-            host = url.hostname
-            origin = (url.scheme, host, url.port)
+            origin = self._origin(url)
             target = url.path or "/"
             if url.query:
                 target = f"{target}?{url.query}"
-            if not host or _BAD_TARGET.search(target):
+            if not origin[1] or _BAD_TARGET.search(target):
                 raise ValueError("no host, or a request target that is not printable ASCII")
             conn = self._take(origin)
             if conn is not None:
@@ -584,6 +585,22 @@ class _ConnectionPool:
         else:
             conn.close()
         return status, data
+
+    def _origin(self, url: SplitResult) -> tuple:
+        """``(scheme, hostname, port)`` of ``url``; only a parse that succeeds is kept,
+        so a bad port raises on every request."""
+        key = (url.scheme, url.netloc)
+        with self._lock:
+            origin = self._origins.get(key)
+            if origin is not None:
+                self._origins.move_to_end(key)
+                return origin
+        origin = (url.scheme, url.hostname, url.port)
+        with self._lock:
+            self._origins[key] = origin
+            while len(self._origins) > self.ORIGINS:
+                self._origins.popitem(last=False)
+        return origin
 
     def _connect(self, origin, timeout) -> _Connection:
         return _Connection(origin, timeout, self._tls_context() if origin[0] == "https" else None)

@@ -84,16 +84,16 @@ def _loss_prefix(seed: int, sender: bytes, receiver: bytes):
     return hashlib.sha256(_LOSS_SEED.pack(seed) + sender + receiver)
 
 
-def _draw(prefix, emission_index: int) -> float:
-    """Uniform draw in [0,1) from a pair's prefix and an emission index."""
+def _draw(prefix, emission: bytes) -> float:
+    """Uniform draw in [0,1) from a pair's prefix and a packed emission index."""
     h = prefix.copy()
-    h.update(_EMISSION.pack(emission_index))
+    h.update(emission)
     return int.from_bytes(h.digest()[:8], "big") / 2**64
 
 
 def _loss_draw(seed: int, sender: bytes, receiver: bytes, emission_index: int) -> float:
     """Deterministic uniform draw in [0,1) for one delivery attempt."""
-    return _draw(_loss_prefix(seed, sender, receiver), emission_index)
+    return _draw(_loss_prefix(seed, sender, receiver), _EMISSION.pack(emission_index))
 
 
 def _check_advert_len(payload: bytes) -> None:
@@ -132,6 +132,7 @@ class SimPeer:
         self._scan_cb = None
         self._characteristics = None
         self._emissions = 0
+        self._loss_prefixes: dict[bytes, object] = {}  # receiver -> _loss_prefix, made at first draw
         self._order = len(transport._peers)  # join order: delivery order of one advert
         self._cell = None  # grid cell key while indexed as a positioned listener
         self._disc = None  # as a sender: the grid's cell lists that its disc overlaps
@@ -180,8 +181,6 @@ class SimTransport:
         self._cell_m = 0.0
         self._cells: dict[tuple[int, int], list[SimPeer]] | None = None
         self._unplaced: list[SimPeer] = []
-        # (seed, sender, receiver) -> _loss_prefix, made at the pair's first draw
-        self._loss_prefixes: dict[tuple[int, bytes, bytes], object] = {}
 
     def join(self, kind: str, position=None, range_model: RangeModel | None = None) -> SimPeer:
         with self._lock:
@@ -223,28 +222,28 @@ class SimTransport:
     def _advertise(self, sender: SimPeer, payload: bytes) -> None:
         _check_advert_len(payload)
         with self._lock:
-            emission = sender._emissions
+            emission_index = sender._emissions
             sender._emissions += 1
             t = self.clock.now()
             reached = self._reached(sender)
-        model = sender.range_model
-        lossy = model is not None and model.loss_probability > 0.0
-        if lossy:
+        if not reached:
+            return
+        address, model, log = sender.address, sender.range_model, self.log
+        loss = 0.0 if model is None else model.loss_probability
+        if loss > 0.0:
             seed = self.seed ^ model.rng_seed
-            prefixes = self._loss_prefixes
+            emission = _EMISSION.pack(emission_index)
+            prefixes = sender._loss_prefixes
         for receiver in reached:
             delivered = True
-            if lossy:
-                pair = (seed, sender.address, receiver.address)
-                prefix = prefixes.get(pair)
+            if loss > 0.0:  # a lossless sender draws nothing
+                prefix = prefixes.get(receiver.address)
                 if prefix is None:
-                    prefix = prefixes[pair] = _loss_prefix(*pair)
-                delivered = _draw(prefix, emission) >= model.loss_probability
-            self.log.append(
-                TransportRecord("adv", t, sender.address, receiver.address, payload, delivered)
-            )
+                    prefix = prefixes[receiver.address] = _loss_prefix(seed, address, receiver.address)
+                delivered = _draw(prefix, emission) >= loss
+            log.append(TransportRecord("adv", t, address, receiver.address, payload, delivered))
             if delivered:
-                receiver._scan_cb(sender.address, payload, t)
+                receiver._scan_cb(address, payload, t)
 
     def _reached(self, sender: SimPeer) -> list[SimPeer]:
         """Listening peers in range of ``sender``, in join order.
@@ -252,7 +251,9 @@ class SimTransport:
         Only these get a log line for the advert. A sender with no model,
         no position or an unbounded radius reaches every listening peer.
         Otherwise an unpositioned peer is always in range, and the
-        positioned peers tested are those in the cells its disc overlaps.
+        positioned peers tested are those in the cells its disc overlaps,
+        and ``hypot`` only for a peer inside the disc's bounding box: it is
+        never below ``max(|dx|, |dy|)``, so the box rejects no peer in range.
         """
         model = sender.range_model
         if model is None or sender._position is None or model.radius_m == math.inf:
@@ -264,15 +265,18 @@ class SimTransport:
             cells = self._cells
             sender._disc = [cells.setdefault(key, [])
                             for key in disc_cells(sender._position, radius, self._cell_m)]
-        reached = [p for p in self._unplaced if p is not sender]
+        reached = [p for p in self._unplaced if p is not sender] if self._unplaced else []
         sx, sy = sender._position
         hypot = math.hypot
         for cell in sender._disc:
             for p in cell:
                 rx, ry = p._position
-                if hypot(sx - rx, sy - ry) <= radius and p is not sender:
+                dx, dy = sx - rx, sy - ry
+                if (-radius <= dx <= radius and -radius <= dy <= radius
+                        and hypot(dx, dy) <= radius and p is not sender):
                     reached.append(p)
-        reached.sort(key=_ORDER)
+        if len(reached) > 1:
+            reached.sort(key=_ORDER)
         return reached
 
     def _index(self) -> None:

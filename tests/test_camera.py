@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -6,12 +7,14 @@ import pytest
 
 from harness import FlakyStore, LocalStoreFetcher, make_config, run_pipeline
 import octv
+from octv import camera as camera_module
 from octv.camera import (
     CameraRuntime,
     ConfigReader,
     SyntheticFrameSource,
     build_frame_source,
     config_flag,
+    SegmentRecord,
     parse_camera_config,
     synthetic_stream,
 )
@@ -39,6 +42,22 @@ class TestSyntheticFrames:
 
     def test_different_seeds_differ(self):
         assert synthetic_stream(1, 0, 4096) != synthetic_stream(2, 0, 4096)
+
+    @pytest.mark.parametrize("seed, start, end, digest", [
+        (0, 0, 4096, "b27271f1c723daebbdbedd77e8bcb3239b69085ff1b97b2b91c28cc06ea0c83c"),
+        (9, 5, 100, "4a4454ee62ce13fa15d3f4b1df5a10eb545b9c8812ae83c344e47220cd7b8678"),
+        (9, 33, 61, "639efe6355a45c9b313d43840b2cc5a7468561a38f571f2918c8cdba43308408"),
+        (-7, 1000, 1031, "19b62321ae9c60c8538aea38f811270387c1005ce95b65da47ac1b705c03a754"),
+        (2**40, 31, 33, "3434701edd94f14ce2bb202d9a9dc9ade0ad0962d65d0af925124774f90d90f5"),
+        (1, 0, 1, "892f60b39450a0e770f00a836761c8e964fd74671ae2cc51cff36cde4f914c12"),
+        (3, 64, 64, hashlib.sha256(b"").hexdigest()),
+        (3, 10, 5, hashlib.sha256(b"").hexdigest()),
+    ], ids=["whole-blocks", "unaligned", "inside-one-block", "negative-seed",
+            "across-a-boundary", "one-byte", "empty", "reversed"])
+    def test_bytes_are_pinned(self, seed, start, end, digest):
+        data = synthetic_stream(seed, start, end)
+        assert len(data) == max(end - start, 0)
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_rate_times_duration(self):
         source = SyntheticFrameSource(seed=3, rate_bytes_per_s=1000)
@@ -252,6 +271,84 @@ class TestOneLoop:
         ran = outcome(CameraRuntime.run)
         assert len(ran[1]) == (6 if "tiering" in kwargs else 3)
         assert ran == outcome(advance_then_shutdown)
+
+
+def min_rule_event(runtime):
+    """The earliest event by (due, priority), first in candidate order on a tie:
+    boundary, beacon, token, then each pending upload in list order."""
+    candidates = []
+    segment = runtime._segment
+    if segment is not None:
+        candidates.append((segment.start_t + runtime.config.segment_interval_s,
+                           camera_module._EV_BOUNDARY, None))
+        candidates.append((runtime._next_beacon_t, camera_module._EV_BEACON, None))
+        if runtime._next_token_t is not None:
+            candidates.append((runtime._next_token_t, camera_module._EV_TOKEN, None))
+    candidates += [(entry[0], camera_module._EV_UPLOAD, entry) for entry in runtime._pending]
+    return min(candidates, key=lambda c: (c[0], c[1])) if candidates else None
+
+
+class TestEventOrder:
+    """``_next_event`` against the min-over-candidates rule, at equal and nearby due times."""
+
+    OFFSETS = (-0.5, 0.0, 0.5)
+
+    def make_runtime(self):
+        config = make_config(segment_interval_s=10)
+        source = SyntheticFrameSource(config.source_seed, config.source_rate)
+        clock = SimClock(0.0)
+        runtime = CameraRuntime(config, clock, source, SimTransport(clock=clock).join("camera"),
+                                MemoryObjectStore(), event_sink=lambda e: None)
+        runtime.start()
+        return runtime
+
+    @staticmethod
+    def record():
+        return SegmentRecord(video_id=bytes(8), seq=0, start_t=0.0, end_t=0.0, container=b"",
+                             state="pending")
+
+    def assert_same_pick(self, runtime):
+        got, want = runtime._next_event(), min_rule_event(runtime)
+        if want is None:
+            assert got is None
+        else:
+            assert got[:2] == want[:2]
+            assert got[2] is want[2]
+
+    def test_table(self):
+        runtime = self.make_runtime()
+        boundary = runtime._segment.start_t + runtime.config.segment_interval_s
+        uploads = (self.record(), self.record())
+        cases = 0
+        for beacon, token, first, second in itertools.product(
+                self.OFFSETS, self.OFFSETS + (None,), self.OFFSETS + (None,), self.OFFSETS + (None,)):
+            runtime._next_beacon_t = boundary + beacon
+            runtime._next_token_t = None if token is None else boundary + token
+            runtime._pending = [(boundary + offset, record, attempt)
+                                for attempt, (offset, record) in enumerate(zip((first, second), uploads))
+                                if offset is not None]
+            self.assert_same_pick(runtime)
+            cases += 1
+        assert cases == 3 * 4 * 4 * 4
+
+    def test_all_at_one_time_boundary_first(self):
+        runtime = self.make_runtime()
+        due = runtime._segment.start_t + runtime.config.segment_interval_s
+        runtime._next_beacon_t = runtime._next_token_t = due
+        runtime._pending = [(due, self.record(), 0), (due, self.record(), 0)]
+        assert runtime._next_event()[:2] == (due, camera_module._EV_BOUNDARY)
+        runtime._pending.append((due - 1e-9, self.record(), 0))
+        assert runtime._next_event()[2] is runtime._pending[2]
+
+    def test_uploads_alone_between_segments(self):
+        runtime = self.make_runtime()
+        runtime._segment = None
+        assert runtime._next_event() is None
+        runtime._pending = [(4.0, self.record(), 1), (4.0, self.record(), 0), (3.0, self.record(), 2)]
+        for _ in range(3):
+            self.assert_same_pick(runtime)
+            runtime._pending.remove(runtime._next_event()[2])
+        assert runtime._next_event() is None
 
 
 class TestManualMode:

@@ -1,11 +1,16 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octv import camera as camera_module
+from octv import crypto
+from octv import transport as transport_module
 from octv.errors import ConfigError
+from octv.protocol import CHAR_KEY_PACKET, CHAR_TIER_KEY_PACKET, DESCRIPTOR_CHARS
 from octv.sim import (
     Scenario,
     Trajectory,
@@ -391,6 +396,77 @@ class TestCityScale:
         report, _ = run_scenario(city_block_scenario(), seed=seed)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, records, digest", [
+        (3, 739, "66cf051da1d618c827e0ea581aa55ea9be58d3bb23357f7a1c03a002b099c101"),
+        (8, 726, "5d8b8389d6945c1106439a631e113073bc05c1b3fa1e3f10c577a4beedd600b2"),
+    ])
+    def test_delivery_log_shape_is_pinned(self, seed, records, digest):
+        # fan-out order, loss draws and reads, record for record; a payload
+        # is left out, as its key and token bytes are drawn from the OS
+        _, transport = run_scenario(city_block_scenario(), seed=seed)
+        shape = hashlib.sha256()
+        for r in transport.log:
+            shape.update(f"{r.kind} {r.t.hex()} {r.sender.hex()} {r.receiver.hex()} "
+                         f"{int(r.delivered)} {r.suffix}\n".encode())
+        assert (len(transport.log), shape.hexdigest()) == (records, digest)
+
+
+class TestWorkCounts:
+    """Work done once stays done once: calls counted over one city-block run, nothing timed."""
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        calls = {"encode_characteristic": [], "encode_key_packet": [], "_loss_prefix": [],
+                 "generate_key": []}
+        patch = pytest.MonkeyPatch()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counting(*args):
+                result = real(*args)
+                calls[name].append((args, result))
+                return result
+
+            patch.setattr(module, name, counting)
+
+        count(camera_module, "encode_characteristic")
+        count(camera_module, "encode_key_packet")
+        count(transport_module, "_loss_prefix")
+        count(crypto, "generate_key")
+        scenario = city_block_scenario()
+        try:
+            _, transport = run_scenario(scenario, seed=3)
+        finally:
+            patch.undo()
+        return scenario, transport, calls
+
+    def test_descriptor_encoded_at_most_once_per_characteristic(self, counted):
+        scenario, _, calls = counted
+        per_camera = Counter(descriptor.name for (descriptor, _), _ in calls["encode_characteristic"])
+        assert set(per_camera) <= {camera.config.descriptor.name for camera in scenario.cameras}
+        assert max(per_camera.values()) <= len(DESCRIPTOR_CHARS)
+
+    def test_key_packet_encoded_once_per_stream_file(self, counted):
+        _, transport, calls = counted
+        encoded = [packet.key for (packet,), _ in calls["encode_key_packet"]]
+        drawn = [key for _, key in calls["generate_key"]]  # one key per stream file
+        assert drawn and sorted(encoded) == sorted(drawn)
+        served = {r.payload for r in transport.log
+                  if r.kind == "read" and r.suffix in (CHAR_KEY_PACKET, CHAR_TIER_KEY_PACKET)}
+        assert served and served <= {data for _, data in calls["encode_key_packet"]}
+
+    def test_loss_prefix_made_once_per_pair_drawn_for(self, counted):
+        scenario, transport, calls = counted
+        camera_addresses, _ = participant_addresses(scenario)
+        lossy = {address for address, camera in zip(camera_addresses, scenario.cameras)
+                 if camera.radio.loss_probability > 0}
+        drawn = {(r.sender, r.receiver) for r in transport.log
+                 if r.kind == "adv" and r.sender in lossy}
+        made = Counter((sender, receiver) for (_, sender, receiver), _ in calls["_loss_prefix"])
+        assert drawn and set(made) == drawn
+        assert max(made.values()) == 1
 
 
 class TestScenarioFile:
