@@ -322,8 +322,9 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
     dt = scenario.timestep_s
     steps = int(round(scenario.duration_s / dt))
     cameras = scenario.cameras
-    walks = [subject.trajectory.positions(map(dt.__mul__, range(steps)))  # k * dt
-             for subject in scenario.subjects]
+    # each subject's position at every step k * dt, and the call that moves its radio
+    moves = [(subject.trajectory.positions(map(dt.__mul__, range(steps))), peer.set_position)
+             for subject, peer in zip(scenario.subjects, peers)]
     # in-view sample steps, ascending, per (subject index, camera index) ever in view
     view_samples: dict[tuple[int, int], list[int]] = {}
 
@@ -332,9 +333,9 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> tuple[BleedReport, SimTra
     for k in range(steps):
         t = k * dt
         clock.advance_to(t)
-        for si, (walk, peer) in enumerate(zip(walks, peers)):
+        for si, (walk, move) in enumerate(moves):
             position = next(walk)
-            peer.set_position(position)
+            move(position)
             for ci in cells.get(grid_cell(position, cell_m), ()):
                 if in_view(cameras[ci], position):
                     view_samples.setdefault((si, ci), []).append(k)

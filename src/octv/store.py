@@ -540,7 +540,7 @@ class _ConnectionPool:
 
     Idle connections are kept per origin (scheme, host, port): at most
     ``PER_ORIGIN`` of them, for the ``ORIGINS`` origins used most
-    recently, whose netlocs are parsed once while they stay among them.
+    recently; the origins of the ``ORIGINS`` netlocs parsed last are kept.
     A reused connection that the server dropped while it sat
     idle is replaced by a fresh one, once. Redirects are not followed and
     proxy variables are not read.
@@ -551,7 +551,7 @@ class _ConnectionPool:
 
     def __init__(self):
         self._idle: OrderedDict[tuple, list] = OrderedDict()
-        self._origins: OrderedDict[tuple, tuple] = OrderedDict()  # (scheme, netloc) -> origin
+        self._origins: dict[tuple, tuple] = {}  # (scheme, netloc) -> origin, oldest first
         self._lock = threading.Lock()
         self._tls = None
 
@@ -587,19 +587,17 @@ class _ConnectionPool:
         return status, data
 
     def _origin(self, url: SplitResult) -> tuple:
-        """``(scheme, hostname, port)`` of ``url``; only a parse that succeeds is kept,
-        so a bad port raises on every request."""
+        """``(scheme, hostname, port)`` of ``url``, kept for the ``ORIGINS`` netlocs
+        parsed last; only a parse that succeeds is kept, so a bad port raises on
+        every request."""
         key = (url.scheme, url.netloc)
-        with self._lock:
-            origin = self._origins.get(key)
-            if origin is not None:
-                self._origins.move_to_end(key)
-                return origin
-        origin = (url.scheme, url.hostname, url.port)
-        with self._lock:
-            self._origins[key] = origin
-            while len(self._origins) > self.ORIGINS:
-                self._origins.popitem(last=False)
+        origin = self._origins.get(key)
+        if origin is None:
+            origin = (url.scheme, url.hostname, url.port)
+            with self._lock:
+                self._origins[key] = origin
+                while len(self._origins) > self.ORIGINS:
+                    del self._origins[next(iter(self._origins))]
         return origin
 
     def _connect(self, origin, timeout) -> _Connection:

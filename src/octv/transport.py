@@ -138,8 +138,23 @@ class SimPeer:
         self._disc = None  # as a sender: the grid's cell lists that its disc overlaps
 
     def set_position(self, position) -> None:
-        # the one way to move: the broker's grid must hear of it
-        self._transport._move(self, position)
+        """Move the peer; the one way to, as the broker's grid must hear of it."""
+        transport = self._transport
+        with transport._lock:
+            old = self._position
+            self._position = position
+            self._disc = None  # a sender's disc moves with it
+            cells = transport._cells
+            if cells is None or self._scan_cb is None:
+                return
+            if old is None or position is None:
+                transport._cells = None
+                return
+            key = grid_cell(position, transport._cell_m)
+            if key != self._cell:
+                cells[self._cell].remove(self)
+                bisect.insort(cells.setdefault(key, []), self, key=_ORDER)
+                self._cell = key
 
     def on_advertisement(self, callback) -> None:
         """Register scan callback(sender_address, payload, t)."""
@@ -194,23 +209,6 @@ class SimTransport:
                 self._cells = None
             return peer
 
-    def _move(self, peer: SimPeer, position) -> None:
-        with self._lock:
-            old = peer._position
-            peer._position = position
-            peer._disc = None  # a sender's disc moves with it
-            cells = self._cells
-            if cells is None or peer._scan_cb is None:
-                return
-            if old is None or position is None:
-                self._cells = None
-                return
-            key = grid_cell(position, self._cell_m)
-            if key != peer._cell:
-                cells[peer._cell].remove(peer)
-                bisect.insort(cells.setdefault(key, []), peer, key=_ORDER)
-                peer._cell = key
-
     def _in_range(self, sender: SimPeer, receiver: SimPeer) -> bool:
         if sender.range_model is None:
             return True
@@ -235,13 +233,14 @@ class SimTransport:
             emission = _EMISSION.pack(emission_index)
             prefixes = sender._loss_prefixes
         for receiver in reached:
+            to = receiver.address
             delivered = True
             if loss > 0.0:  # a lossless sender draws nothing
-                prefix = prefixes.get(receiver.address)
+                prefix = prefixes.get(to)
                 if prefix is None:
-                    prefix = prefixes[receiver.address] = _loss_prefix(seed, address, receiver.address)
+                    prefix = prefixes[to] = _loss_prefix(seed, address, to)
                 delivered = _draw(prefix, emission) >= loss
-            log.append(TransportRecord("adv", t, address, receiver.address, payload, delivered))
+            log.append(TransportRecord("adv", t, address, to, payload, delivered))
             if delivered:
                 receiver._scan_cb(address, payload, t)
 

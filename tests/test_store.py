@@ -547,14 +547,15 @@ class TestPoolOrigins:
         assert failures == [f"GET {url} failed: {parsed.value!r}"] * 2
         assert not pool._origins
 
-    def test_keeps_the_origins_used_most_recently(self):
+    def test_keeps_the_netlocs_parsed_last(self):
         pool = store_module._ConnectionPool()
         urls = [urlsplit(f"http://store-{i}.example/x") for i in range(pool.ORIGINS + 2)]
         for url in urls:
             pool._origin(url)
-        pool._origin(urls[2])
-        assert [netloc for _, netloc in pool._origins] == (
-            [f"store-{i}.example" for i in range(3, pool.ORIGINS + 2)] + ["store-2.example"])
+        kept = [f"store-{i}.example" for i in range(2, pool.ORIGINS + 2)]
+        assert [netloc for _, netloc in pool._origins] == kept
+        pool._origin(urls[0])  # parsed again, and the oldest kept one goes
+        assert [netloc for _, netloc in pool._origins] == kept[1:] + ["store-0.example"]
 
 
 class TestErrorMapping:
