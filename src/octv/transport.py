@@ -138,7 +138,7 @@ class SimPeer:
         self._disc = None  # as a sender: the grid's cell lists that its disc overlaps
 
     def set_position(self, position) -> None:
-        """Move the peer; the one way to, as the broker's grid must hear of it."""
+        """Move the peer; the broker's grid must hear of it, so this is the only way to."""
         transport = self._transport
         with transport._lock:
             old = self._position
