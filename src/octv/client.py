@@ -152,7 +152,8 @@ class Wallet:
         A byte that is not UTF-8 decodes to U+FFFD and fails its line.
         """
         kept = data.rfind(b"\n") + 1
-        lines = data[:kept].decode("utf-8", errors="replace").splitlines()
+        # lines end at "\n" alone, less one "\r" (CRLF): splitlines() breaks at more
+        lines = data[:kept].decode("utf-8", errors="replace").replace("\r\n", "\n").split("\n")
         if not lines or lines[0] != WALLET_HEADER:
             raise WalletError(f"{source}: line 1: missing wallet header")
         descriptors: dict[str, CameraDescriptor] = {}  # by blob hex, decoded once per load

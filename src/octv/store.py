@@ -144,6 +144,8 @@ _REPLY_BUFFER = 64 * 1024
 # a field line: ``name:``, then the value to the line's end. Its trailing CR and blanks
 # are stripped after the match: a lazy value would retry the tail at every character
 _FIELD = re.compile(r"([^\s:]+):[ \t]*(.*)\n")
+# a chunk's size line (RFC 9112 7.1): hex digits only, then an extension that is not read
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;.*)?\r?\n")
 _YIELD = getattr(os, "sched_yield", None)  # not on Windows
 
 
@@ -524,10 +526,11 @@ class _Connection:
             line = self.reader.readline(_MAX_LINE + 1)
             if len(line) > _MAX_LINE:
                 raise ValueError("chunk size line too long")
-            size = int(line.split(b";", 1)[0], 16)  # not a hex size: ValueError
-            if size <= 0:
-                if size < 0:
-                    raise ValueError(f"negative chunk size {size}")
+            size = _CHUNK_SIZE.fullmatch(line)
+            if size is None:
+                raise ValueError(f"bad chunk size line {line[:80]!r}")
+            size = int(size[1], 16)
+            if size == 0:
                 _read_headers(self.reader)  # the trailer, not used
                 return b"".join(pieces)
             pieces.append(_read_body(self.reader, size, _REPLY_BUFFER))

@@ -22,9 +22,9 @@ import math
 import os
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from operator import attrgetter
 
 from .clocks import RealClock
@@ -36,6 +36,7 @@ ADDRESS_LEN = _ADDRESS.size
 # the hash inputs of a loss draw: the pair's seed, then the emission index
 _LOSS_SEED = struct.Struct(">q")
 _EMISSION = struct.Struct(">Q")
+_DRAW = struct.Struct(">Q")  # a loss draw's bits: the digest's first 8 bytes
 
 _ORDER = attrgetter("_order")
 
@@ -88,7 +89,7 @@ def _draw(prefix, emission: bytes) -> float:
     """Uniform draw in [0,1) from a pair's prefix and a packed emission index."""
     h = prefix.copy()
     h.update(emission)
-    return int.from_bytes(h.digest()[:8], "big") / 2**64
+    return _DRAW.unpack_from(h.digest())[0] / 2**64
 
 
 def _loss_draw(seed: int, sender: bytes, receiver: bytes, emission_index: int) -> float:
@@ -136,31 +137,33 @@ class SimPeer:
         self._order = len(transport._peers)  # join order: delivery order of one advert
         self._cell = None  # grid cell key while indexed as a positioned listener
         self._disc = None  # as a sender: the grid's cell lists that its disc overlaps
+        self._reach: list[SimPeer] = []  # as a sender: who its last advert reached,
+        self._reach_at = -1  # kept while the broker's ``_changes`` equals this
 
     def set_position(self, position) -> None:
-        """Move the peer; the broker's grid must hear of it, so this is the only way to."""
+        """Move the peer; the broker's grid and kept reaches must hear of it, so only this may."""
         transport = self._transport
-        with transport._lock:
-            old = self._position
-            self._position = position
-            self._disc = None  # a sender's disc moves with it
-            cells = transport._cells
-            if cells is None or self._scan_cb is None:
-                return
-            if old is None or position is None:
-                transport._cells = None
-                return
-            key = grid_cell(position, transport._cell_m)
-            if key != self._cell:
-                cells[self._cell].remove(self)
-                bisect.insort(cells.setdefault(key, []), self, key=_ORDER)
-                self._cell = key
+        transport._changes += 1
+        old = self._position
+        self._position = position
+        self._disc = None  # a sender's disc moves with it
+        cells = transport._cells
+        if cells is None or self._scan_cb is None:
+            return
+        if old is None or position is None:
+            transport._cells = None
+            return
+        key = grid_cell(position, transport._cell_m)
+        if key != self._cell:
+            cells[self._cell].remove(self)
+            bisect.insort(cells.setdefault(key, []), self, key=_ORDER)
+            self._cell = key
 
     def on_advertisement(self, callback) -> None:
         """Register scan callback(sender_address, payload, t)."""
-        with self._transport._lock:
-            self._scan_cb = callback
-            self._transport._cells = None
+        self._scan_cb = callback
+        self._transport._cells = None
+        self._transport._changes += 1
 
     def serve_characteristics(self, resolver) -> None:
         """Register resolver(suffix) -> bytes for incoming reads."""
@@ -178,15 +181,18 @@ class SimPeer:
 
 
 class SimTransport:
-    """In-process event broker with optional spatial semantics."""
+    """In-process event broker with optional spatial semantics. A broker and its
+    peers belong to one thread: nothing in them takes a lock."""
 
     def __init__(self, clock=None, seed: int = 0):
         self.clock = clock if clock is not None else RealClock()
         self.seed = seed
-        self.log: list[TransportRecord] = []
+        self._log: list[tuple] = []  # delivery records as tuples in TransportRecord's field order
         self._peers: list[SimPeer] = []
         self._by_address: dict[bytes, SimPeer] = {}
-        self._lock = threading.RLock()
+        # peer moves and callback registrations so far: they change who a
+        # sender reaches, so its kept reach is stale once this changes
+        self._changes = 0
         # Uniform grid of the listening peers: cell key -> positioned peers
         # in join order, plus the unplaced ones. A cell is as wide as the
         # largest radius joined, so a disc overlaps few cells. A move within
@@ -197,17 +203,21 @@ class SimTransport:
         self._cells: dict[tuple[int, int], list[SimPeer]] | None = None
         self._unplaced: list[SimPeer] = []
 
+    @property
+    def log(self) -> list[TransportRecord]:
+        """The delivery log in order, built afresh on each read: O(n) in its length."""
+        return list(starmap(TransportRecord, self._log))
+
     def join(self, kind: str, position=None, range_model: RangeModel | None = None) -> SimPeer:
-        with self._lock:
-            address = _ADDRESS.pack(0x0200, len(self._peers) + 1)
-            peer = SimPeer(self, address, kind, position, range_model)
-            self._peers.append(peer)
-            self._by_address[address] = peer
-            # an unbounded sender reaches everyone without the grid
-            if range_model is not None and self._cell_m < range_model.radius_m < math.inf:
-                self._cell_m = range_model.radius_m
-                self._cells = None
-            return peer
+        address = _ADDRESS.pack(0x0200, len(self._peers) + 1)
+        peer = SimPeer(self, address, kind, position, range_model)
+        self._peers.append(peer)
+        self._by_address[address] = peer
+        # an unbounded sender reaches everyone without the grid
+        if range_model is not None and self._cell_m < range_model.radius_m < math.inf:
+            self._cell_m = range_model.radius_m
+            self._cells = None
+        return peer
 
     def _in_range(self, sender: SimPeer, receiver: SimPeer) -> bool:
         if sender.range_model is None:
@@ -219,14 +229,15 @@ class SimTransport:
 
     def _advertise(self, sender: SimPeer, payload: bytes) -> None:
         _check_advert_len(payload)
-        with self._lock:
-            emission_index = sender._emissions
-            sender._emissions += 1
-            t = self.clock.now()
-            reached = self._reached(sender)
+        emission_index = sender._emissions
+        sender._emissions += 1
+        if sender._reach_at != self._changes:  # a move or registration since its last advert
+            sender._reach, sender._reach_at = self._reached(sender), self._changes
+        reached = sender._reach
         if not reached:
             return
-        address, model, log = sender.address, sender.range_model, self.log
+        t = self.clock.now()
+        address, model, log = sender.address, sender.range_model, self._log
         loss = 0.0 if model is None else model.loss_probability
         if loss > 0.0:
             seed = self.seed ^ model.rng_seed
@@ -240,7 +251,7 @@ class SimTransport:
                 if prefix is None:
                     prefix = prefixes[to] = _loss_prefix(seed, address, to)
                 delivered = _draw(prefix, emission) >= loss
-            log.append(TransportRecord("adv", t, address, to, payload, delivered))
+            log.append(("adv", t, address, to, payload, delivered, None))
             if delivered:
                 receiver._scan_cb(address, payload, t)
 
@@ -304,15 +315,15 @@ class SimTransport:
         try:
             value = target._characteristics(suffix)
         except NoSuchCharacteristicError:
-            self.log.append(TransportRecord("read", t, reader.address, target_address, b"", False, suffix))
+            self._log.append(("read", t, reader.address, target_address, b"", False, suffix))
             raise
-        self.log.append(TransportRecord("read", t, reader.address, target_address, value, True, suffix))
+        self._log.append(("read", t, reader.address, target_address, value, True, suffix))
         return value
 
     def export_log(self, path) -> None:
-        """Write the delivery log, one record per line."""
+        """Write the delivery log, one record per line, building one record at a time."""
         with open(path, "w", encoding="ascii") as fh:
-            for record in self.log:
+            for record in starmap(TransportRecord, self._log):
                 fh.write(record.to_line() + "\n")
 
 

@@ -21,17 +21,27 @@ from octv.store import FsObjectStore
 VECTOR_HEX = "11" * 32 + "05" + "003c" + "0102030405060708" + "aa" * 21
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def child_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``: pytest's
+    ``pythonpath`` setting reaches only its own process, not a ``python -m octv``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def octv(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "octv", *args],
-        capture_output=True, text=True, timeout=60, **kwargs,
+        capture_output=True, text=True, timeout=60, env=child_env(), **kwargs,
     )
 
 
 def spawn(*args):
     return subprocess.Popen(
         [sys.executable, "-m", "octv", *args],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
     )
 
 

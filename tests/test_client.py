@@ -230,6 +230,25 @@ class TestWalletPersistence:
         with pytest.raises(WalletError, match="line 2"):
             Wallet(path)
 
+    @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029",
+                                      "\r"])
+    def test_only_newline_ends_a_line(self, tmp_path, mark):
+        # str.splitlines() would also break at ``mark``, and misnumber every line after it
+        path = tmp_path / "wallet.txt"
+        path.write_text(f"octv-wallet 1\n\n{mark} \nR bad 00000000\n", encoding="utf-8", newline="")
+        with pytest.raises(WalletError, match="line 4: "):
+            Wallet(path)
+
+    def test_crlf_wallet_loads(self, tmp_path, open_wallet):
+        path = tmp_path / "wallet.txt"
+        wallet = Wallet(path)
+        records = [make_record(seq=seq) for seq in range(2)]
+        for record in records:
+            wallet.ingest(record)
+        wallet.close()
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert [r.packet for r in open_wallet(path).records] == [r.packet for r in records]
+
     def test_one_camera_shares_one_descriptor(self, tmp_path):
         path = tmp_path / "wallet.txt"
         wallet = Wallet(path)

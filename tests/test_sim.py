@@ -20,6 +20,7 @@ from octv.sim import (
     run_scenario,
     scenario_from_dict,
 )
+from octv.transport import SimPeer, SimTransport
 
 
 def fig4_scenario(radius=10.0, duration=120, interval=60, subjects=None, chunk_count=0):
@@ -418,7 +419,7 @@ class TestWorkCounts:
     @pytest.fixture(scope="class")
     def counted(self):
         calls = {"encode_characteristic": [], "encode_key_packet": [], "_loss_prefix": [],
-                 "generate_key": []}
+                 "generate_key": [], "_reached": []}
         patch = pytest.MonkeyPatch()
 
         def count(module, name):
@@ -435,6 +436,26 @@ class TestWorkCounts:
         count(camera_module, "encode_key_packet")
         count(transport_module, "_loss_prefix")
         count(crypto, "generate_key")
+        changes = 0  # listener moves and callback registrations so far
+        move, listen, scan = SimPeer.set_position, SimPeer.on_advertisement, SimTransport._reached
+
+        def counted_move(peer, position):
+            nonlocal changes
+            changes += peer._scan_cb is not None
+            move(peer, position)
+
+        def counted_listen(peer, callback):
+            nonlocal changes
+            changes += 1
+            listen(peer, callback)
+
+        def counted_scan(transport, sender):
+            calls["_reached"].append((sender.address, transport.clock.now(), changes))
+            return scan(transport, sender)
+
+        patch.setattr(SimPeer, "set_position", counted_move)
+        patch.setattr(SimPeer, "on_advertisement", counted_listen)
+        patch.setattr(SimTransport, "_reached", counted_scan)
         scenario = city_block_scenario()
         try:
             _, transport = run_scenario(scenario, seed=3)
@@ -467,6 +488,13 @@ class TestWorkCounts:
         made = Counter((sender, receiver) for (_, sender, receiver), _ in calls["_loss_prefix"])
         assert drawn and set(made) == drawn
         assert max(made.values()) == 1
+
+    def test_reach_scanned_once_per_sender_and_instant_without_listener_change(self, counted):
+        _, transport, calls = counted
+        scans = Counter(calls["_reached"])  # (sender, instant, listener changes so far)
+        assert scans and max(scans.values()) == 1
+        adverts = sum(peer._emissions for peer in transport._peers)
+        assert len(calls["_reached"]) < adverts  # some adverts reused a kept reach
 
 
 class TestScenarioFile:

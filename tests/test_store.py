@@ -914,7 +914,13 @@ class TestHostileReplies:
         b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
         b"HTTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi",
         b"HTTP/1.1 200 OK\r\nX: " + b"a" * 65537 + b"\r\nContent-Length: 2\r\n\r\nhi",
-    ], ids=["truncated-body", "bad-status-line", "long-header"])
+        # sizes that int(size, 16) reads but RFC 9112 refuses, each with a body of that size
+        *(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + size + b"\r\n"
+          + b"x" * int(size, 16) + b"\r\n0\r\n\r\n"
+          for size in (b"0x10", b"1_0", b" a ", b"+5", b"-0", b"a ")),
+    ], ids=["truncated-body", "bad-status-line", "long-header", "chunk-size-0x",
+            "chunk-size-underscore", "chunk-size-blanks", "chunk-size-plus", "chunk-size-minus",
+            "chunk-size-trailing-blank"])
     def test_bad_reply_is_an_error_and_not_pooled(self, raw_reply, pool, reply):
         raw_reply.reply = reply
         with pytest.raises(OctvError) as excinfo:

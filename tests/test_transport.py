@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import socket
@@ -344,6 +345,41 @@ class TestGridIndex:
                 advertise(cameras[args[0] % len(cameras)])
 
 
+class TestKeptReach:
+    """A sender reuses the peers its last advert reached until a peer, itself
+    included, moves or a callback registers; an advert after either sees a fresh scan."""
+
+    @pytest.mark.parametrize("change, expected", [
+        ("move-in", ["inside", "outside"]),
+        ("move-out", []),
+        ("register", ["inside", "late"]),
+        ("sender-moves", ["outside"]),
+    ])
+    def test_second_advert_at_one_instant_sees_the_change(self, change, expected):
+        transport = SimTransport(clock=SimClock(0.0))
+        camera = transport.join("camera", position=(0.0, 0.0),
+                                range_model=RangeModel(radius_m=10.0))
+        peers = {name: transport.join("listener", position=position) for name, position in
+                 [("inside", (3.0, 0.0)), ("outside", (30.0, 0.0)), ("late", (-3.0, 0.0))]}
+        names = {peer.address: name for name, peer in peers.items()}
+        for name in ("inside", "outside"):
+            peers[name].on_advertisement(lambda *args: None)
+        camera.advertise(b"1")
+        if change == "move-in":
+            peers["outside"].set_position((0.0, 5.0))
+        elif change == "move-out":
+            peers["inside"].set_position((0.0, 50.0))
+        elif change == "register":
+            peers["late"].on_advertisement(lambda *args: None)
+        else:
+            camera.set_position((25.0, 0.0))
+        logged = len(transport.log)
+        camera.advertise(b"2")
+        receivers = [r.receiver for r in transport.log[logged:]]
+        assert receivers == [peer.address for peer in transport._reached(camera)]
+        assert [names[address] for address in receivers] == expected
+
+
 class TestCharacteristicReads:
     def make_camera(self, radius=10.0):
         transport = SimTransport(clock=SimClock(0.0), seed=0)
@@ -406,6 +442,34 @@ class TestLogExport:
         assert float(t) == 1.5
         assert payload == "0102"
         assert delivered == "1"
+
+    def test_export_matches_the_log_and_entries_leave_the_collector(self, tmp_path):
+        transport = SimTransport(clock=SimClock(2.0), seed=4)
+        camera = transport.join("camera", position=(0.0, 0.0), range_model=RangeModel(
+            radius_m=10.0, loss_probability=0.5, rng_seed=1))
+
+        def resolver(suffix):
+            if suffix != 1:
+                raise NoSuchCharacteristicError(f"{suffix:#06x}")
+            return bytes(4)
+
+        camera.serve_characteristics(resolver)
+        listener = transport.join("listener", position=(5.0, 0.0))
+        listener.on_advertisement(lambda *args: None)
+        for i in range(8):
+            camera.advertise(bytes([i]))
+        listener.read_characteristic(camera.address, 1)
+        with pytest.raises(NoSuchCharacteristicError):
+            listener.read_characteristic(camera.address, 2)
+        path = tmp_path / "delivery.log"
+        transport.export_log(path)
+        log = transport.log
+        assert {r.kind for r in log} == {"adv", "read"} and len(log) == 10
+        assert transport.log == log  # each read builds the same records afresh
+        assert path.read_text().splitlines() == [r.to_line() for r in log]
+        # every stored entry holds only atomic items, so the collector stops tracking it
+        gc.collect()
+        assert not any(map(gc.is_tracked, transport._log))
 
 
 class TestUdpBus:
