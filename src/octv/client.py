@@ -154,7 +154,7 @@ class Wallet:
         kept = data.rfind(b"\n") + 1
         # lines end at "\n" alone, less one "\r" (CRLF): splitlines() breaks at more
         lines = data[:kept].decode("utf-8", errors="replace").replace("\r\n", "\n").split("\n")
-        if not lines or lines[0] != WALLET_HEADER:
+        if lines[0] != WALLET_HEADER:
             raise WalletError(f"{source}: line 1: missing wallet header")
         descriptors: dict[str, CameraDescriptor] = {}  # by blob hex, decoded once per load
         for lineno, line in enumerate(lines[1:], start=2):

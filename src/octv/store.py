@@ -526,10 +526,10 @@ class _Connection:
             line = self.reader.readline(_MAX_LINE + 1)
             if len(line) > _MAX_LINE:
                 raise ValueError("chunk size line too long")
-            size = _CHUNK_SIZE.fullmatch(line)
-            if size is None:
+            match = _CHUNK_SIZE.fullmatch(line)
+            if match is None:
                 raise ValueError(f"bad chunk size line {line[:80]!r}")
-            size = int(size[1], 16)
+            size = int(match[1], 16)
             if size == 0:
                 _read_headers(self.reader)  # the trailer, not used
                 return b"".join(pieces)

@@ -19,8 +19,6 @@ from octv.client import export_wallet, import_wallet
 from octv.store import FsObjectStore
 
 VECTOR_HEX = "11" * 32 + "05" + "003c" + "0102030405060708" + "aa" * 21
-
-
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
