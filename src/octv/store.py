@@ -4,12 +4,14 @@ Objects are addressed by ``<16-hex video id>.<mp4|jpg>`` exactly as the
 broadcast URL template names them, and are immutable once written. The
 server never inspects or logs payload contents beyond their length; its
 request log holds method, path, status and size only. Clients keep their
-HTTP/1.1 connections open in one small pool shared by every request. Both
+HTTP/1.1 connections open in one small pool shared by every request, which
+splits each request's URL once and keeps the parse of its origin. Both
 ends frame HTTP/1.1 themselves: one header reader, with the stdlib's line
-and count limits, parses request and reply heads alike. The store serves
-each connection from its own request loop and writes every reply head and
-body with one gathered send; each head carries ``Date``, ``Content-Type``,
-``Content-Length`` and, when the store then closes, ``Connection: close``.
+and count limits, parses request and reply heads alike, and keeps the field
+lines it parsed last. The store serves each connection from its own
+request loop and writes every reply head and body with one gathered send;
+each head carries ``Date``, ``Content-Type``, ``Content-Length`` and, when
+the store then closes, ``Connection: close``.
 """
 
 import atexit
@@ -36,7 +38,7 @@ _OBJECT_RE = re.compile(rf"^([0-9a-f]{{{2 * VIDEO_ID_LEN}}})\.({'|'.join(FOOTAGE
 class ObjectKey:
     """Storage address: 8-byte video id plus file extension."""
 
-    __slots__ = ("video_id", "extension")
+    __slots__ = ("video_id", "extension", "path")
 
     def __init__(self, video_id: bytes, extension: str = "mp4"):
         if len(video_id) != VIDEO_ID_LEN:
@@ -45,17 +47,17 @@ class ObjectKey:
             raise ValueError(f"extension must be mp4 or jpg, got {extension!r}")
         self.video_id = video_id
         self.extension = extension
-
-    @property
-    def path(self) -> str:
-        return f"{self.video_id.hex()}.{self.extension}"
+        self.path = f"{video_id.hex()}.{extension}"
 
     @classmethod
     def from_path(cls, path: str) -> "ObjectKey":
         match = _OBJECT_RE.match(path)
         if not match:
             raise ProtocolError(f"not a valid object path: {path!r}")
-        return cls(bytes.fromhex(match.group(1)), match.group(2))
+        # the matched text is the path ``__init__`` would build: lower-case hex, one extension
+        key = object.__new__(cls)
+        key.video_id, key.extension, key.path = bytes.fromhex(match[1]), match[2], match[0]
+        return key
 
     def __eq__(self, other):
         return isinstance(other, ObjectKey) and self.path == other.path
@@ -144,6 +146,9 @@ _REPLY_BUFFER = 64 * 1024
 # a field line: ``name:``, then the value to the line's end. Its trailing CR and blanks
 # are stripped after the match: a lazy value would retry the tail at every character
 _FIELD = re.compile(r"([^\s:]+):[ \t]*(.*)\n")
+# a connection keeps at most this many parsed field lines, each of at most _KEPT_LINE bytes
+_KEPT_LINES = 64
+_KEPT_LINE = 256
 # a chunk's size line (RFC 9112 7.1): hex digits only, then an extension that is not read
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;.*)?\r?\n")
 _YIELD = getattr(os, "sched_yield", None)  # not on Windows
@@ -157,36 +162,49 @@ class _HeadError(ValueError):
         self.status = status
 
 
-def _read_headers(reader) -> dict[str, str]:
+def _read_headers(reader, parsed: dict[bytes, tuple[str, str]]) -> dict[str, str]:
     """Read header fields up to the blank line; values by lower-cased name.
 
     The first of a repeated field counts. A repeated Content-Length, a
     line that is not ``name: value`` (RFC 9112 §5.1 puts no whitespace
     before the colon) and a head cut short by end of stream are errors.
     An obs-fold line continues the previous value.
+
+    ``parsed`` is the connection's own: its field lines parsed before, as
+    (lower-cased name, value) by their bytes. A kept-alive connection sends
+    the same lines again (its Host on each request, a Content-Type on each
+    reply). It keeps ``_KEPT_LINES`` short lines at most and is emptied
+    when full.
     """
     headers = {}
     last = None
     readline = reader.readline
     for _ in range(_MAX_HEADERS):
         line = readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise _HeadError(431, "Line too long")
-        if line in (b"\r\n", b"\n"):
-            return headers
-        field = _FIELD.fullmatch(str(line, "latin-1"))
-        if field is None:  # no ending newline, an obs-fold line, or not a field
-            if not line.endswith(b"\n"):
-                raise _HeadError(400, "Head cut short")
-            text = str(line, "latin-1").rstrip("\r\n")
-            if last is None or text[:1] not in (" ", "\t"):
-                raise _HeadError(400, f"Bad header line ({text[:80]!r})")
-            headers[last] = f"{headers[last]} {text.strip()}".lstrip()
-            continue
-        name, value = field.groups()
-        name = name.lower()
+        field = parsed.get(line)
+        if field is None:
+            if len(line) > _MAX_LINE:
+                raise _HeadError(431, "Line too long")
+            if line in (b"\r\n", b"\n"):
+                return headers
+            match = _FIELD.fullmatch(str(line, "latin-1"))
+            if match is None:  # no ending newline, an obs-fold line, or not a field
+                if not line.endswith(b"\n"):
+                    raise _HeadError(400, "Head cut short")
+                text = str(line, "latin-1").rstrip("\r\n")
+                if last is None or text[:1] not in (" ", "\t"):
+                    raise _HeadError(400, f"Bad header line ({text[:80]!r})")
+                headers[last] = f"{headers[last]} {text.strip()}".lstrip()
+                continue
+            name, value = match.groups()
+            field = name.lower(), value.rstrip("\r").rstrip(" \t")
+            if len(line) <= _KEPT_LINE:
+                if len(parsed) >= _KEPT_LINES:
+                    parsed.clear()
+                parsed[line] = field
+        name, value = field
         if name not in headers:
-            headers[name] = value.rstrip("\r").rstrip(" \t")
+            headers[name] = value
             last = name
         elif name == "content-length":
             raise _HeadError(400, "Repeated Content-Length")
@@ -234,6 +252,7 @@ class _StoreHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
+        self._parsed = {}  # this connection's field lines, for _read_headers
         try:
             while self._serve_one():
                 pass
@@ -256,25 +275,31 @@ class _StoreHandler(socketserver.StreamRequestHandler):
         try:
             if len(line) > _MAX_LINE:
                 raise _HeadError(414, "Request-URI Too Long")
-            version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
-            if version is None:
+            if len(words) != 3:
                 raise _HeadError(400, "Bad request line")
-            if int(version[1]) >= 2:
-                raise _HeadError(505, f"Invalid HTTP version ({words[2][5:]})")
-            self.command, self.path = words[:2]
-            if self.path.startswith("//"):  # gh-87389: never an absolute URI without a scheme
-                self.path = "/" + self.path.lstrip("/")
-            self.headers = _read_headers(self.rfile)
-            method = self._METHODS.get(self.command)
+            command, path, version = words
+            http11 = version == "HTTP/1.1"
+            if not http11:
+                match = _VERSION.fullmatch(version)
+                if match is None:
+                    raise _HeadError(400, "Bad request line")
+                major, minor = int(match[1]), int(match[2])
+                if major >= 2:
+                    raise _HeadError(505, f"Invalid HTTP version ({version[5:]})")
+                http11 = (major, minor) >= (1, 1)
+            if path.startswith("//"):  # gh-87389: never an absolute URI without a scheme
+                path = "/" + path.lstrip("/")
+            self.command, self.path = command, path
+            self.headers = headers = _read_headers(self.rfile, self._parsed)
+            method = self._METHODS.get(command)
             if method is None:
-                raise _HeadError(501, f"Unsupported method ({self.command!r})")
+                raise _HeadError(501, f"Unsupported method ({command!r})")
         except _HeadError as err:  # answered unlogged
             self._send(err.status, f"{err}\n".encode())
             return False
-        http11 = (int(version[1]), int(version[2])) >= (1, 1)
-        connection = self.headers.get("connection", "").lower()
+        connection = headers.get("connection", "").lower()
         self.close_connection = connection == "close" or (not http11 and connection != "keep-alive")
-        if http11 and self.headers.get("expect", "").lower() == "100-continue":
+        if http11 and headers.get("expect", "").lower() == "100-continue":
             # the client holds the body back until it sees this
             self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         method(self)
@@ -444,6 +469,8 @@ class _Dropped(ConnectionError):
 
 
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")
+# a URL path of unreserved characters (RFC 3986 §2.3) and "/", which ``urlsplit`` keeps whole
+_PLAIN_PATH = re.compile(r"[A-Za-z0-9._~/-]*")
 
 
 class _Connection:
@@ -461,9 +488,12 @@ class _Connection:
             raise
         self.sock = sock
         self.reader = sock.makefile("rb", _REPLY_BUFFER)
+        self._parsed = {}  # this connection's field lines, for _read_headers
         name = host if host.isascii() else host.encode("idna").decode()
         name = f"[{name}]" if ":" in name else name
-        self.host = name if port is None else f"{name}:{port}"
+        name = name if port is None else f"{name}:{port}"
+        # every request head goes on from its target with these lines
+        self._fields = f" HTTP/1.1\r\nHost: {name}\r\nAccept-Encoding: identity\r\n"
 
     def close(self) -> None:
         self.reader.close()
@@ -476,17 +506,18 @@ class _Connection:
         Returns the status, the body, and whether the connection can carry
         another request. Raises ``_Dropped`` if the server had closed it.
         """
-        head = f"{method} {target} HTTP/1.1\r\nHost: {self.host}\r\nAccept-Encoding: identity\r\n"
-        if body is not None:
-            head += f"Content-Length: {len(body)}\r\n"
-        head = (head + "\r\n").encode("ascii")
-        if timeout != self.sock.gettimeout():  # set at connect; a request may ask for another
-            self.sock.settimeout(timeout)
+        if body is None:
+            head = f"{method} {target}{self._fields}\r\n"
+        else:
+            head = f"{method} {target}{self._fields}Content-Length: {len(body)}\r\n\r\n"
+        sock, reader = self.sock, self.reader
+        if timeout != sock.gettimeout():  # set at connect; a request may ask for another
+            sock.settimeout(timeout)
         try:
-            self.sock.sendall(head)
+            sock.sendall(head.encode("ascii"))
             if body:
-                self.sock.sendall(body)
-            line = self.reader.readline(_MAX_LINE + 1)
+                sock.sendall(body)
+            line = reader.readline(_MAX_LINE + 1)
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise _Dropped(str(exc)) from None
         if not line:
@@ -497,10 +528,10 @@ class _Connection:
                     or len(parts[1]) != 3 or not parts[1].isdigit()):
                 raise ValueError(f"bad status line {line[:80]!r}")
             status = int(parts[1])
-            headers = _read_headers(self.reader)
+            headers = _read_headers(reader, self._parsed)
             if not 100 <= status < 200:
                 break
-            line = self.reader.readline(_MAX_LINE + 1)  # after an interim reply, the real one
+            line = reader.readline(_MAX_LINE + 1)  # after an interim reply, the real one
         connection = headers.get("connection", "").lower()
         if parts[0] == b"HTTP/1.0":
             reusable = "keep-alive" in connection
@@ -512,11 +543,12 @@ class _Connection:
             return status, self._read_chunked(), reusable
         length = headers.get("content-length")
         if length is None:
-            return status, self.reader.read(), False  # the body ends where the connection does
+            return status, reader.read(), False  # the body ends where the connection does
         if not (length.isascii() and length.isdigit()):
             raise ValueError(f"bad Content-Length {length[:80]!r}")
-        data = _read_body(self.reader, int(length), _REPLY_BUFFER)
-        if len(data) < int(length):
+        size = int(length)
+        data = _read_body(reader, size, _REPLY_BUFFER)
+        if len(data) < size:
             raise ValueError(f"body cut short at {len(data)} of {length} bytes")
         return status, data, reusable
 
@@ -531,7 +563,7 @@ class _Connection:
                 raise ValueError(f"bad chunk size line {line[:80]!r}")
             size = int(match[1], 16)
             if size == 0:
-                _read_headers(self.reader)  # the trailer, not used
+                _read_headers(self.reader, self._parsed)  # the trailer, not used
                 return b"".join(pieces)
             pieces.append(_read_body(self.reader, size, _REPLY_BUFFER))
             if len(pieces[-1]) < size or self.reader.readline(3) not in (b"\r\n", b"\n"):
@@ -543,7 +575,8 @@ class _ConnectionPool:
 
     Idle connections are kept per origin (scheme, host, port): at most
     ``PER_ORIGIN`` of them, for the ``ORIGINS`` origins used most
-    recently; the origins of the ``ORIGINS`` netlocs parsed last are kept.
+    recently. The origins of the ``ORIGINS`` netlocs parsed last are kept,
+    and ``split`` splits a URL that goes on from one of them by that text.
     A reused connection that the server dropped while it sat
     idle is replaced by a fresh one, once. Redirects are not followed and
     proxy variables are not read.
@@ -557,6 +590,25 @@ class _ConnectionPool:
         self._origins: dict[tuple, tuple] = {}  # (scheme, netloc) -> origin, oldest first
         self._lock = threading.Lock()
         self._tls = None
+
+    def split(self, url: str) -> SplitResult:
+        """``urlsplit(url)``, read off a kept origin's text where the URL allows it.
+
+        That is a URL made of a kept scheme (not empty) and netloc, exactly
+        as parsed, with ``://`` between them, then nothing or a path of
+        ``/`` and unreserved characters only (RFC 3986 §2.3) that starts
+        with ``/``. ``urlsplit`` strips, removes and splits at none of those
+        characters, so it would return that scheme, netloc and path, and no
+        query or fragment. Every other URL goes to ``urlsplit``.
+        """
+        colon = url.find("://")
+        if colon > 0:  # at the start, "://" follows no scheme
+            end = url.find("/", colon + 3)
+            end = len(url) if end < 0 else end
+            scheme, netloc = url[:colon], url[colon + 3:end]
+            if (scheme, netloc) in self._origins and _PLAIN_PATH.fullmatch(url, end):
+                return SplitResult._make((scheme, netloc, url[end:], "", ""))
+        return urlsplit(url)
 
     def request(self, method: str, url: SplitResult, body: bytes | None = None,
                 timeout: float = 5.0) -> tuple[int, bytes]:
@@ -658,7 +710,7 @@ class HttpStoreClient:
         return f"{self.base_url}/{key.path}"
 
     def put(self, key: ObjectKey, data: bytes) -> None:
-        status, _ = _POOL.request("PUT", urlsplit(self._url(key)), data, self.timeout)
+        status, _ = _POOL.request("PUT", _POOL.split(self._url(key)), data, self.timeout)
         if status == 409:
             raise ConflictError(f"object {key.path} already exists")
         if not 200 <= status < 300:
@@ -668,7 +720,7 @@ class HttpStoreClient:
         return fetch_url(self._url(key), timeout=self.timeout)
 
     def contains(self, key: ObjectKey) -> bool:
-        status, _ = _POOL.request("HEAD", urlsplit(self._url(key)), timeout=self.timeout)
+        status, _ = _POOL.request("HEAD", _POOL.split(self._url(key)), timeout=self.timeout)
         if status == 404:
             return False
         if not 200 <= status < 300:
@@ -678,7 +730,7 @@ class HttpStoreClient:
 
 def open_store(target: str):
     """Resolve a store target: http(s) URL or a local directory path."""
-    if target.startswith("http://") or target.startswith("https://"):
+    if urlsplit(target).scheme in ("http", "https"):  # urlsplit lower-cases the scheme
         return HttpStoreClient(target)
     return FsObjectStore(target)
 
@@ -689,7 +741,7 @@ def fetch_url(url: str, timeout: float = 5.0) -> bytes:
     A ``file:`` URL is read directly, with no name lookup: its host part
     must be empty or ``localhost``, and any other host is refused.
     """
-    parts = urlsplit(url)
+    parts = _POOL.split(url)
     if parts.scheme == "file":
         if parts.netloc.lower() not in ("", "localhost"):
             raise OctvError(f"file URL names another host: {parts.netloc!r}")
