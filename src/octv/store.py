@@ -54,10 +54,7 @@ class ObjectKey:
         match = _OBJECT_RE.match(path)
         if not match:
             raise ProtocolError(f"not a valid object path: {path!r}")
-        # the matched text is the path ``__init__`` would build: lower-case hex, one extension
-        key = object.__new__(cls)
-        key.video_id, key.extension, key.path = bytes.fromhex(match[1]), match[2], match[0]
-        return key
+        return cls(bytes.fromhex(match[1]), match[2])
 
     def __eq__(self, other):
         return isinstance(other, ObjectKey) and self.path == other.path
@@ -278,15 +275,13 @@ class _StoreHandler(socketserver.StreamRequestHandler):
             if len(words) != 3:
                 raise _HeadError(400, "Bad request line")
             command, path, version = words
-            http11 = version == "HTTP/1.1"
-            if not http11:
-                match = _VERSION.fullmatch(version)
-                if match is None:
-                    raise _HeadError(400, "Bad request line")
-                major, minor = int(match[1]), int(match[2])
-                if major >= 2:
-                    raise _HeadError(505, f"Invalid HTTP version ({version[5:]})")
-                http11 = (major, minor) >= (1, 1)
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                raise _HeadError(400, "Bad request line")
+            major, minor = int(match[1]), int(match[2])
+            if major >= 2:
+                raise _HeadError(505, f"Invalid HTTP version ({version[5:]})")
+            http11 = (major, minor) >= (1, 1)
             if path.startswith("//"):  # gh-87389: never an absolute URI without a scheme
                 path = "/" + path.lstrip("/")
             self.command, self.path = command, path
@@ -730,7 +725,7 @@ class HttpStoreClient:
 
 def open_store(target: str):
     """Resolve a store target: http(s) URL or a local directory path."""
-    if urlsplit(target).scheme in ("http", "https"):  # urlsplit lower-cases the scheme
+    if target[:8].lower().startswith(("http://", "https://")):
         return HttpStoreClient(target)
     return FsObjectStore(target)
 

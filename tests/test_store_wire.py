@@ -6,6 +6,7 @@ head reader with a frozen copy of the earlier reader (``head_reference``).
 """
 
 import io
+import os
 import re
 import socket
 import threading
@@ -19,6 +20,7 @@ import head_reference
 from octv import store as store_module
 from octv.protocol import format_video_url
 from octv.store import (
+    FsObjectStore,
     HttpStoreClient,
     MemoryObjectStore,
     ObjectKey,
@@ -351,6 +353,15 @@ def test_open_store_reads_the_scheme_in_any_case(tmp_path, monkeypatch, target):
     monkeypatch.chdir(tmp_path)
     assert isinstance(open_store(target), HttpStoreClient)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["http:dir", "https:/x", " http://h/", "x://srv[1/dir"])
+def test_open_store_keeps_other_targets_local(tmp_path, monkeypatch, target):
+    """Only a target that begins with http:// or https:// is a URL; the rest are directories."""
+    monkeypatch.chdir(tmp_path)
+    store = open_store(target)
+    assert isinstance(store, FsObjectStore)
+    assert os.path.isdir(tmp_path / target)
 
 
 def read_outcome(read_headers, head_error, data: bytes):
