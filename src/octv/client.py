@@ -351,7 +351,15 @@ def coordinate_distance_m(a: Coordinates, b: Coordinates) -> float:
 
 
 def _camera_groups(wallet: Wallet, rule: GapRule) -> dict[bytes, str]:
-    """Union cameras whose coordinates lie within the merge radius."""
+    """Union cameras whose coordinates lie within the merge radius.
+
+    Cameras are swept in order of latitude, and each is compared only with
+    those at most the merge radius further north: a great-circle distance is
+    never below ``R·|Δφ|``. That reach is widened by a hair, so rounding
+    loses no merge. A location off the globe (a latitude outside [-90, 90],
+    or a longitude that is not finite) merges with no camera. Each group is
+    labelled by its smallest address, whatever order the unions come in.
+    """
     positions: dict[bytes, Coordinates] = {}
     for record in wallet.records:
         if isinstance(record.descriptor.location, Coordinates):
@@ -366,9 +374,16 @@ def _camera_groups(wallet: Wallet, rule: GapRule) -> dict[bytes, str]:
             a = parent[a]
         return a
 
-    located = [a for a in addresses if a in positions]
-    for i, a in enumerate(located):
-        for b in located[i + 1 :]:
+    located = sorted(
+        (math.radians(p.lat), a) for a, p in positions.items()
+        if -90 <= p.lat <= 90 and math.isfinite(p.lon)
+    )
+    reach = rule.merge_radius_m * (1 + 1e-9) / _EARTH_RADIUS_M  # in radians of latitude
+    for i, (lat, a) in enumerate(located):
+        for j in range(i + 1, len(located)):
+            lat_b, b = located[j]
+            if lat_b - lat > reach:
+                break
             if coordinate_distance_m(positions[a], positions[b]) <= rule.merge_radius_m:
                 root_a, root_b = find(a), find(b)
                 if root_a != root_b:

@@ -6,6 +6,7 @@ All multi-byte integers are big-endian.
 """
 
 import contextlib
+import functools
 import re
 import struct
 from dataclasses import dataclass
@@ -147,6 +148,7 @@ class CameraDescriptor:
         url_extension(self.url_template)
 
 
+@functools.lru_cache  # a template is formatted into every URL; a refusal is not kept
 def url_extension(template: str) -> str:
     """Validate a URL template; return the footage extension its URL path ends in."""
     if template.count("{id}") != 1:

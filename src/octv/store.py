@@ -11,17 +11,21 @@ and count limits, parses request and reply heads alike, and keeps the field
 lines it parsed last. The store serves each connection from its own
 request loop and writes every reply head and body with one gathered send;
 each head carries ``Date``, ``Content-Type``, ``Content-Length`` and, when
-the store then closes, ``Connection: close``.
+the store then closes, ``Connection: close``. Plain-``http`` sockets on both
+ends are blocking, with their timeouts held by the kernel, so each receive
+and each send is one system call; an expiry is still a ``TimeoutError``.
 """
 
 import atexit
 import io
+import math
 import os
 import re
 import secrets
 import socket
 import socketserver
 import ssl
+import struct
 import threading
 import time
 from collections import OrderedDict
@@ -149,6 +153,52 @@ _KEPT_LINE = 256
 # a chunk's size line (RFC 9112 7.1): hex digits only, then an extension that is not read
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;.*)?\r?\n")
 _YIELD = getattr(os, "sched_yield", None)  # not on Windows
+# struct timeval, as SO_RCVTIMEO and SO_SNDTIMEO take it: seconds, microseconds
+_TIMEVAL = struct.Struct("@ll")
+
+
+def _hold_timeout(sock: socket.socket, timeout: float | None) -> None:
+    """Bound each receive and each send on ``sock`` by ``timeout`` seconds; None is no bound.
+
+    A plain socket is made blocking, with the timeout held by the kernel
+    (``SO_RCVTIMEO``, ``SO_SNDTIMEO``): each receive or send is then one
+    system call, where a Python-level timeout polls before each. An
+    expired receive or send raises ``BlockingIOError``: read the socket
+    through ``_SocketReader``, and take a send's as the timeout.
+
+    A TLS socket keeps ``settimeout``: on a blocking ``SSLSocket`` the
+    ``ssl`` module retries a read that the kernel timed out, so the read
+    would wait until the peer closed. So does a platform whose options
+    take no ``timeval``.
+    """
+    if isinstance(sock, ssl.SSLSocket) or os.name != "posix":
+        sock.settimeout(timeout)
+        return
+    if timeout is None:
+        microseconds = 0
+    elif timeout < 0:
+        raise ValueError("Timeout value out of range")
+    else:  # rounded up, to one at least: a zero timeval is no bound
+        microseconds = max(1, math.ceil(timeout * 1_000_000))
+    held = _TIMEVAL.pack(*divmod(microseconds, 1_000_000))
+    sock.settimeout(None)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, held)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, held)
+
+
+class _SocketReader(socket.SocketIO):
+    """A socket's raw reader, under its buffered one, for ``_hold_timeout``'s sockets.
+
+    A receive that the kernel timed out raises ``TimeoutError``, where
+    ``SocketIO`` returns None and its buffer takes that for end of stream,
+    which a client would read as a dropped connection and retry.
+    """
+
+    def readinto(self, b):
+        try:
+            return self._sock.recv_into(b)
+        except BlockingIOError:
+            raise TimeoutError("timed out") from None
 
 
 class _HeadError(ValueError):
@@ -239,22 +289,31 @@ _CLOSE = "Connection: close\r\n"
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
-class _StoreHandler(socketserver.StreamRequestHandler):
+class _StoreHandler(socketserver.BaseRequestHandler):
     """One connection: its requests are read and answered in turn until it closes."""
 
     # a connection idle this long is closed, so a vanished client cannot hold its thread
     timeout = 30.0
-    # a reply goes out in one gathered send, with Nagle's algorithm off: sent as headers
-    # then body, the body waited for the client's delayed ACK (~40 ms per keep-alive GET)
-    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        self.connection = sock = self.request
+        _hold_timeout(sock, self.timeout)
+        # a reply goes out in one gathered send, with Nagle's algorithm off: sent as headers
+        # then body, the body waited for the client's delayed ACK (~40 ms per keep-alive GET)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = io.BufferedReader(_SocketReader(sock, "rb"), io.DEFAULT_BUFFER_SIZE)
+
+    def finish(self) -> None:
+        self.rfile.close()
 
     def handle(self) -> None:
         self._parsed = {}  # this connection's field lines, for _read_headers
         try:
             while self._serve_one():
                 pass
-        # the client went away, or sat idle or stalled past ``timeout``: closed quietly
-        except (ConnectionError, TimeoutError):
+        # the client went away, or sat idle or stalled past ``timeout``: closed quietly.
+        # A send that the kernel timed out raises BlockingIOError
+        except (ConnectionError, TimeoutError, BlockingIOError):
             pass
 
     def _serve_one(self) -> bool:
@@ -478,11 +537,13 @@ class _Connection:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if tls is not None:
                 sock = tls.wrap_socket(sock, server_hostname=host)
+            _hold_timeout(sock, timeout)
         except BaseException:
             sock.close()
             raise
         self.sock = sock
-        self.reader = sock.makefile("rb", _REPLY_BUFFER)
+        self._timeout = timeout
+        self.reader = io.BufferedReader(_SocketReader(sock, "rb"), _REPLY_BUFFER)
         self._parsed = {}  # this connection's field lines, for _read_headers
         name = host if host.isascii() else host.encode("idna").decode()
         name = f"[{name}]" if ":" in name else name
@@ -506,8 +567,9 @@ class _Connection:
         else:
             head = f"{method} {target}{self._fields}Content-Length: {len(body)}\r\n\r\n"
         sock, reader = self.sock, self.reader
-        if timeout != sock.gettimeout():  # set at connect; a request may ask for another
-            sock.settimeout(timeout)
+        if timeout != self._timeout:  # set at connect; a request may ask for another
+            _hold_timeout(sock, timeout)
+            self._timeout = timeout
         try:
             sock.sendall(head.encode("ascii"))
             if body:
@@ -515,6 +577,8 @@ class _Connection:
             line = reader.readline(_MAX_LINE + 1)
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise _Dropped(str(exc)) from None
+        except BlockingIOError:  # a send that the kernel timed out
+            raise TimeoutError("timed out") from None
         if not line:
             raise _Dropped("closed before the status line")
         while True:

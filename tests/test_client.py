@@ -1,4 +1,5 @@
 import errno
+import math
 import random
 import secrets
 import zlib
@@ -416,6 +417,66 @@ class TestSessions:
         wallet.ingest(make_record(received_at=80.0, seq=1, reconnect_interval_s=10))
         tight = GapRule(ri_multiplier=2.0, min_gap_s=30.0)
         assert len(group_sessions(wallet, tight)) == 2
+
+
+def all_pairs_groups(wallet: Wallet, rule: GapRule) -> dict[bytes, str]:
+    """The reference for ``client._camera_groups``: every two located cameras
+    compared, each group labelled by its smallest address."""
+    positions = {r.camera_address: r.descriptor.location for r in wallet.records
+                 if isinstance(r.descriptor.location, Coordinates)}
+    addresses = sorted(wallet.by_camera)
+    groups = {a: {a} for a in addresses}
+    located = [a for a in addresses if a in positions]
+    for i, a in enumerate(located):
+        for b in located[i + 1:]:
+            distance = client_module.coordinate_distance_m(positions[a], positions[b])
+            if distance <= rule.merge_radius_m and groups[a] is not groups[b]:
+                merged = groups[a] | groups[b]
+                for member in merged:
+                    groups[member] = merged
+    return {a: min(groups[a]).hex() for a in addresses}
+
+
+def placed_wallet(rng: random.Random, centre, cameras: int = 40) -> Wallet:
+    """Cameras scattered within ~35 m of ``centre``, so that many merge and some chain;
+    one in eight has a text location, and the longitude wraps at ±180."""
+    wallet = Wallet()
+    lat0, lon0 = centre
+    for seq in range(cameras):
+        lat = min(90.0, max(-90.0, lat0 + rng.uniform(-3e-4, 3e-4)))
+        lon = lon0 + rng.uniform(-3e-4, 3e-4) / max(math.cos(math.radians(lat)), 1e-3)
+        lon = (lon + 180.0) % 360.0 - 180.0
+        location = "porch" if rng.random() < 1 / 8 else Coordinates(lat, lon)
+        wallet.ingest(make_record(camera_address=rng.randbytes(6), location=location,
+                                  seq=seq % 256))
+    return wallet
+
+
+class TestCameraGroups:
+    @pytest.mark.parametrize("centre", [
+        (54.978, -1.617), (0.0, 0.0), (89.9998, 0.0), (-89.9998, 45.0), (0.0, 180.0),
+        (-33.9, -180.0), (89.99999, 180.0),
+    ], ids=["newcastle", "equator", "north-pole", "south-pole", "antimeridian",
+            "antimeridian-south", "pole-and-antimeridian"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sweep_matches_all_pairs(self, centre, seed):
+        wallet = placed_wallet(random.Random(f"{centre} {seed}"), centre)
+        for rule in (GapRule(), GapRule(merge_radius_m=5.0), GapRule(merge_radius_m=400.0)):
+            groups = client_module._camera_groups(wallet, rule)
+            assert groups == all_pairs_groups(wallet, rule)
+        assert len(set(client_module._camera_groups(wallet, GapRule()).values())) > 1
+
+    def test_location_off_the_globe_merges_with_no_camera(self):
+        """A latitude outside [-90, 90] or a longitude that is not finite, as an
+        advert may carry: the camera keeps a group of its own, and nothing raises."""
+        wallet = Wallet()
+        places = [(91.0, 0.0), (91.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (50.0, math.inf),
+                  (50.0, math.nan), (50.0, 0.0)]
+        for seq, (lat, lon) in enumerate(places):
+            wallet.ingest(make_record(camera_address=bytes([0xCA, seq, 0, 0, 0, 0]),
+                                      location=Coordinates(lat, lon), seq=seq))
+        groups = client_module._camera_groups(wallet, GapRule())
+        assert groups == {a: a.hex() for a in wallet.by_camera}
 
 
 def brute_successor(wallet, record):

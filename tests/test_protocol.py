@@ -245,6 +245,17 @@ class TestUrlExtension:
         with pytest.raises(ProtocolError):
             url_extension(template)
 
+    @pytest.mark.parametrize("call", [
+        url_extension,
+        lambda template: format_video_url(template, bytes(8)),
+        lambda template: parse_video_url("https://h/0000000000000000.png", template),
+    ], ids=["url_extension", "format_video_url", "parse_video_url"])
+    def test_bad_template_is_refused_on_every_call(self, call):
+        """A template's check is kept once it passes; a refusal is not kept."""
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                call("https://h/{id}.png")
+
 
 def make_descriptor(**overrides):
     values = dict(

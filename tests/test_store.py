@@ -315,21 +315,6 @@ def fixed_status():
     httpd.server_close()
 
 
-class SettimeoutCounter:
-    """A socket whose ``settimeout`` calls are recorded in ``timeouts``."""
-
-    def __init__(self, sock):
-        self._sock = sock
-        self.timeouts = []
-
-    def settimeout(self, timeout):
-        self.timeouts.append(timeout)
-        self._sock.settimeout(timeout)
-
-    def __getattr__(self, name):
-        return getattr(self._sock, name)
-
-
 class SlowStore(MemoryObjectStore):
     """A store whose reads take ``delay`` seconds."""
 
@@ -438,16 +423,17 @@ class TestPooledConnections:
         assert fetch_url(url) == b"hi"
         assert len(connects) == 2
 
-    def test_timeout_is_set_only_when_a_request_changes_it(self, server, pool):
+    def test_timeout_is_set_only_when_a_request_changes_it(self, server, pool, monkeypatch):
         server, store = server
         store.put(make_key(1), b"hi")
         url = f"{server.base_url()}/{make_key(1).path}"
         assert fetch_url(url) == b"hi"  # connects with the default timeout
-        (conn,) = [conn for idle in pool._idle.values() for conn in idle]
-        conn.sock = SettimeoutCounter(conn.sock)
+        timeouts, hold = [], store_module._hold_timeout
+        monkeypatch.setattr(store_module, "_hold_timeout",
+                            lambda sock, timeout: timeouts.append(timeout) or hold(sock, timeout))
         for _ in range(5):
             assert fetch_url(url, timeout=2.5) == b"hi"
-        assert conn.sock.timeouts == [2.5]
+        assert timeouts == [2.5]
 
     def test_reused_connection_takes_the_new_requests_timeout(self, pool):
         """Connected with a 0.5 s timeout, then asked for 2 s, the connection waits 2 s."""
@@ -514,6 +500,143 @@ class TestPooledConnections:
         answering.join(timeout=5)
         assert names == ["127.0.0.1"]
         assert not any(pool._idle.values())
+
+
+class Bounded(threading.Thread):
+    """Runs ``call`` in a daemon thread. ``outcome`` joins it within a deadline, so a
+    wait that never ends fails the test instead of hanging the suite."""
+
+    def __init__(self, call):
+        super().__init__(daemon=True)
+        self.call = call
+        self.start()
+
+    def run(self):
+        began = time.monotonic()
+        try:
+            self.result = self.call()
+        except Exception as exc:
+            self.result = exc
+        self.took = time.monotonic() - began
+
+    def outcome(self, seconds: float = 5.0):
+        """What the call returned or raised, and how long it took."""
+        self.join(seconds)
+        assert not self.is_alive(), f"still waiting after {seconds} s"
+        return self.result, self.took
+
+
+TIMEVAL = struct.Struct("@ll")  # struct timeval: seconds, microseconds
+# more bytes than a loopback connection's send and receive buffers hold together
+UNREAD_BYTES = 64 << 20
+
+
+def kernel_timeout(sock, option: int) -> float:
+    """The socket's SO_RCVTIMEO or SO_SNDTIMEO in seconds; 0 is none."""
+    seconds, microseconds = TIMEVAL.unpack(sock.getsockopt(socket.SOL_SOCKET, option, TIMEVAL.size))
+    return seconds + microseconds / 1e6
+
+
+class TestTimeouts:
+    """An expiry surfaces as ``TimeoutError`` on both ends of the store."""
+
+    @pytest.mark.parametrize("answered", [False, True], ids=["fresh", "pooled"])
+    @pytest.mark.parametrize("call", ["fetch_url", "put"])
+    def test_client_times_out_on_a_silent_store(self, pool, call, answered):
+        """A store that accepts and never replies: the request fails as ``TimeoutError``
+        after its timeout, and is not retried on a new connection. ``pooled`` first
+        has one request answered, so the silent one goes out on a reused connection."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5)
+            base = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            calls = {
+                "fetch_url": lambda: fetch_url(f"{base}/{make_key(1).path}", timeout=0.3),
+                "put": lambda: HttpStoreClient(base, timeout=0.3).put(make_key(1), b"data"),
+            }
+            if answered:
+                first = Bounded(calls[call])
+                conn, _ = listener.accept()
+                conn.settimeout(5)
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi")
+                assert first.outcome()[0] in (b"hi", None)
+            silent = Bounded(calls[call])
+            if not answered:
+                conn, _ = listener.accept()
+            with conn:
+                error, took = silent.outcome()
+                listener.settimeout(0.2)
+                with pytest.raises(TimeoutError):  # no second connection
+                    listener.accept()
+        assert type(error) is OctvError and "TimeoutError" in str(error), error
+        assert 0.3 <= took < 1.5
+
+    def test_client_send_times_out_on_a_store_that_reads_nothing(self, pool):
+        """An upload larger than both ends' socket buffers stalls in the send."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5)
+            client = HttpStoreClient(f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=0.3)
+            upload = Bounded(lambda: client.put(make_key(1), bytes(UNREAD_BYTES)))
+            conn, _ = listener.accept()
+            with conn:
+                error, took = upload.outcome()
+        assert type(error) is OctvError and "TimeoutError" in str(error), error
+        assert 0.3 <= took < 1.5
+
+    def test_store_send_times_out_on_a_client_that_reads_nothing(self, server, tracebacks,
+                                                                 monkeypatch):
+        """A reply larger than both ends' socket buffers stalls in the store's send,
+        which ends the connection quietly."""
+        monkeypatch.setattr(store_module._StoreHandler, "timeout", 0.2)
+        server, store = server
+        store.put(make_key(1), bytes(UNREAD_BYTES))
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(f"GET /{make_key(1).path} HTTP/1.1\r\n\r\n".encode())
+            deadline = time.monotonic() + 5
+            while not server.request_log and time.monotonic() < deadline:
+                time.sleep(0.01)
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._connections
+        assert tracebacks == []
+
+    @pytest.mark.parametrize("sent", [
+        f"GET /{make_key(1).path} HTTP/1.1\r\nHost: st".encode(),
+        f"PUT /{make_key(1).path} HTTP/1.1\r\nContent-Length: 10\r\n\r\nfoota".encode(),
+    ], ids=["half-a-head", "half-a-body"])
+    def test_store_closes_a_stalled_request_without_a_reply(self, server, tracebacks,
+                                                            monkeypatch, sent):
+        monkeypatch.setattr(store_module._StoreHandler, "timeout", 0.2)
+        server, store = server
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(sent)
+            began = time.monotonic()
+            assert sock.recv(65536) == b""
+            assert time.monotonic() - began < 1.5
+        assert store.keys() == [] and server.request_log == []
+        assert tracebacks == []
+
+    def test_timeouts_are_held_by_the_kernel(self, server, pool):
+        """Both ends' sockets are blocking, with the timeout in SO_RCVTIMEO and
+        SO_SNDTIMEO: the request's on the client, the idle close's on the store."""
+        server, store = server
+        store.put(make_key(1), b"hi")
+        assert fetch_url(f"{server.base_url()}/{make_key(1).path}", timeout=2.5) == b"hi"
+        (conn,) = [conn for idle in pool._idle.values() for conn in idle]
+        (served,) = server._connections
+        for sock, timeout in ((conn.sock, 2.5), (served, store_module._StoreHandler.timeout)):
+            assert sock.gettimeout() is None
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                assert kernel_timeout(sock, option) == pytest.approx(timeout, abs=0.011)
+
+    def test_tls_socket_keeps_a_python_timeout(self, pool):
+        """The ssl module retries a read that the kernel timed out on a blocking
+        ``SSLSocket``, so a TLS connection keeps ``settimeout``."""
+        with pool._tls_context().wrap_socket(socket.socket(), server_hostname="store.example",
+                                             do_handshake_on_connect=False) as sock:
+            store_module._hold_timeout(sock, 0.3)
+            assert sock.gettimeout() == 0.3
+            assert kernel_timeout(sock, socket.SO_RCVTIMEO) == 0
 
 
 class TestPoolOrigins:
