@@ -7,6 +7,7 @@ previous segment's hash prefix) goes on the air; at each boundary the
 segment is sealed, hashed and dispatched per the availability mode.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -532,9 +533,9 @@ class CameraRuntime:
         mode, so in auto mode an upload has already erased their containers.
         """
         self._pull_frames(t)
-        records = self._finalize_segment(t)
-        for record in records:
-            self._dispatch_record(record, t)
+        records, uploads = self._finalize_segment(t)
+        for record, upload in zip(records, uploads):
+            self._dispatch_record(record, t, upload)
         self._start_segment(t)
         return records
 
@@ -585,10 +586,15 @@ class CameraRuntime:
         else:
             self._next_token_t = None
 
-    def _finalize_segment(self, t: float) -> list[SegmentRecord]:
-        """Seal the live segment; returns the new records, not yet dispatched."""
+    def _finalize_segment(self, t: float) -> tuple[list[SegmentRecord], list]:
+        """Seal and chain the live segment's files; returns the new records, not yet
+        dispatched, and the call that ends each one's upload, begun here in auto mode.
+
+        An upload is begun before the chain hashes are taken, so the store
+        takes the bodies while the camera hashes; its reply is read on dispatch.
+        """
         segment = self._segment
-        plaintext = bytes(segment.buffer)
+        plaintext = segment.buffer  # sealed as it is, not copied: it goes with the segment
         records = []
         for f in segment.files:
             data = plaintext if f.stream == "main" else plaintext[::_TIER_DIVISOR]
@@ -600,7 +606,12 @@ class CameraRuntime:
             records.append(SegmentRecord(
                 video_id=f.packet.video_id, seq=segment.seq, start_t=segment.start_t, end_t=t,
                 container=container, state="pending", stream=f.stream))
-            self._prev_hash[f.stream] = crypto.hash_prefix(container)
+        if self.config.mode == Mode.AUTO:
+            uploads = [self._begin_upload(record) for record in records]
+        else:
+            uploads = [None] * len(records)
+        for record in records:
+            self._prev_hash[record.stream] = crypto.hash_prefix(record.container)
         self.records.extend(records)
         main = records[0]
         self._emit(
@@ -615,11 +626,11 @@ class CameraRuntime:
         )
         self._segment = None
         self._seq = (self._seq + 1) % 256
-        return records
+        return records, uploads
 
-    def _dispatch_record(self, record: SegmentRecord, t: float) -> None:
+    def _dispatch_record(self, record: SegmentRecord, t: float, upload) -> None:
         if self.config.mode == Mode.AUTO:
-            self._try_upload(record, t, attempt=0)
+            self._try_upload(record, t, attempt=0, upload=upload)
         elif self.config.mode == Mode.DELAYED:
             self._pending.append((t + self.config.delay_s, record, 0))
         else:
@@ -639,12 +650,23 @@ class CameraRuntime:
              "seq": record.seq}
         )
 
-    def _try_upload(self, record: SegmentRecord, t: float, attempt: int, last: bool = False) -> None:
-        """Upload ``record``; on failure retry it later, or with ``last`` abandon it."""
+    def _begin_upload(self, record: SegmentRecord):
+        """Start uploading ``record``; returns the call that ends the upload, raising as
+        ``put`` does. A store with no ``begin_put`` makes the whole ``put`` in that call."""
+        key = ObjectKey(record.video_id, self._extension)
+        begin_put = getattr(self.store, "begin_put", None)
+        if begin_put is None:
+            return functools.partial(self.store.put, key, record.container)
+        return begin_put(key, record.container)
+
+    def _try_upload(self, record: SegmentRecord, t: float, attempt: int, last: bool = False,
+                    upload=None) -> None:
+        """Upload ``record``, or end the ``upload`` begun for it; on failure retry it
+        later, or with ``last`` abandon it."""
         key = ObjectKey(record.video_id, self._extension)
         try:
             try:
-                self.store.put(key, record.container)
+                (upload or self._begin_upload(record))()
             except ConflictError:
                 # our own earlier PUT whose reply was lost, or another object
                 # stored under the id since its HEAD check

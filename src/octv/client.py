@@ -253,14 +253,15 @@ class Wallet:
         intervals of this one's receipt; a later packet with the next
         ``seq`` belongs to another lap of the 256-value counter.
         """
-        want_seq = (record.packet.seq + 1) % 256
-        latest = record.received_at + 2 * record.packet.reconnect_interval_s
-        candidates = [
-            r
-            for r in self._by_seq.get((record.camera_address, want_seq), ())
-            if record.received_at <= r.received_at <= latest
-        ]
-        return min(candidates, key=lambda r: r.received_at) if candidates else None
+        earliest = record.received_at
+        latest = earliest + 2 * record.packet.reconnect_interval_s
+        found = None
+        # the earliest in one pass; of records received at the same instant, the first
+        for r in self._by_seq.get((record.camera_address, (record.packet.seq + 1) % 256), ()):
+            at = r.received_at
+            if earliest <= at <= latest and (found is None or at < found.received_at):
+                found = r
+        return found
 
     def close(self) -> None:
         if self._fh is not None:

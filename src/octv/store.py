@@ -542,6 +542,8 @@ class _Connection:
             sock.close()
             raise
         self.sock = sock
+        self.origin = origin
+        self.reused = False  # set once the connection has gone back to the pool
         self._timeout = timeout
         self.reader = io.BufferedReader(_SocketReader(sock, "rb"), _REPLY_BUFFER)
         self._parsed = {}  # this connection's field lines, for _read_headers
@@ -555,18 +557,17 @@ class _Connection:
         self.reader.close()
         self.sock.close()
 
-    def exchange(self, method: str, target: str, body: bytes | None,
-                 timeout: float) -> tuple[int, bytes, bool]:
-        """Send one request and read its reply whole.
+    def send(self, method: str, target: str, body: bytes | None, timeout: float) -> None:
+        """Send one request whole; its reply is left for ``receive``.
 
-        Returns the status, the body, and whether the connection can carry
-        another request. Raises ``_Dropped`` if the server had closed it.
+        A send that the server reset or closed is not raised here: with
+        nothing of the reply on its way, ``receive`` reads that as ``_Dropped``.
         """
         if body is None:
             head = f"{method} {target}{self._fields}\r\n"
         else:
             head = f"{method} {target}{self._fields}Content-Length: {len(body)}\r\n\r\n"
-        sock, reader = self.sock, self.reader
+        sock = self.sock
         if timeout != self._timeout:  # set at connect; a request may ask for another
             _hold_timeout(sock, timeout)
             self._timeout = timeout
@@ -574,11 +575,22 @@ class _Connection:
             sock.sendall(head.encode("ascii"))
             if body:
                 sock.sendall(body)
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        except BlockingIOError:  # a send that the kernel timed out
+            raise TimeoutError("timed out") from None
+
+    def receive(self, method: str) -> tuple[int, bytes, bool]:
+        """Read the reply to the request sent last, whole.
+
+        Returns the status, the body, and whether the connection can carry
+        another request. Raises ``_Dropped`` if the server had closed it.
+        """
+        reader = self.reader
+        try:
             line = reader.readline(_MAX_LINE + 1)
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise _Dropped(str(exc)) from None
-        except BlockingIOError:  # a send that the kernel timed out
-            raise TimeoutError("timed out") from None
         if not line:
             raise _Dropped("closed before the status line")
         while True:
@@ -636,9 +648,11 @@ class _ConnectionPool:
     ``PER_ORIGIN`` of them, for the ``ORIGINS`` origins used most
     recently. The origins of the ``ORIGINS`` netlocs parsed last are kept,
     and ``split`` splits a URL that goes on from one of them by that text.
-    A reused connection that the server dropped while it sat
-    idle is replaced by a fresh one, once. Redirects are not followed and
-    proxy variables are not read.
+    A request is a ``send``, then a ``receive`` of its reply, so a caller
+    can work while the server takes the body. A reused connection that
+    the server dropped while it sat idle is found by the receive and
+    replaced by a fresh one, once, on which the request is sent again.
+    Redirects are not followed and proxy variables are not read.
     """
 
     ORIGINS = 8
@@ -672,33 +686,57 @@ class _ConnectionPool:
     def request(self, method: str, url: SplitResult, body: bytes | None = None,
                 timeout: float = 5.0) -> tuple[int, bytes]:
         """Send one request to a split URL; returns the status and the body read whole."""
+        return self.receive(self.send(method, url, body, timeout), method, url, body, timeout)
+
+    def send(self, method: str, url: SplitResult, body: bytes | None = None,
+             timeout: float = 5.0) -> _Connection:
+        """Send one request to a split URL, on an idle connection to its origin or a new
+        one; returns that connection, for ``receive`` to read the reply on."""
         conn = None
         try:
             origin = self._origin(url)
-            target = url.path or "/"
-            if url.query:
-                target = f"{target}?{url.query}"
+            target = self._target(url)
             if not origin[1] or _BAD_TARGET.search(target):
                 raise ValueError("no host, or a request target that is not printable ASCII")
             conn = self._take(origin)
-            if conn is not None:
-                try:
-                    status, data, reusable = conn.exchange(method, target, body, timeout)
-                except _Dropped:
-                    conn.close()
-                    conn = None
             if conn is None:
                 conn = self._connect(origin, timeout)
-                status, data, reusable = conn.exchange(method, target, body, timeout)
+            conn.send(method, target, body, timeout)
+            return conn
         except (OSError, ValueError) as exc:
             if conn is not None:
                 conn.close()
             raise OctvError(f"{method} {url.geturl()} failed: {exc!r}") from None
+
+    def receive(self, conn: _Connection, method: str, url: SplitResult,
+                body: bytes | None = None, timeout: float = 5.0) -> tuple[int, bytes]:
+        """The status and the body, read whole, of the reply to what ``send`` sent on
+        ``conn``. An idle connection that the server had dropped is replaced once, and
+        the request sent again on the new one."""
+        try:
+            try:
+                status, data, reusable = conn.receive(method)
+            except _Dropped:
+                if not conn.reused:
+                    raise
+                conn.close()
+                conn = self._connect(conn.origin, timeout)
+                conn.send(method, self._target(url), body, timeout)
+                status, data, reusable = conn.receive(method)
+        except (OSError, ValueError) as exc:
+            conn.close()
+            raise OctvError(f"{method} {url.geturl()} failed: {exc!r}") from None
         if reusable:
-            self._give(origin, conn)
+            self._give(conn)
         else:
             conn.close()
         return status, data
+
+    @staticmethod
+    def _target(url: SplitResult) -> str:
+        """The request target of ``url``: its path, and its query after a ``?``."""
+        target = url.path or "/"
+        return f"{target}?{url.query}" if url.query else target
 
     def _origin(self, url: SplitResult) -> tuple:
         """``(scheme, hostname, port)`` of ``url``, kept for the ``ORIGINS`` netlocs
@@ -730,7 +768,9 @@ class _ConnectionPool:
                 return idle.pop()
         return None
 
-    def _give(self, origin, conn) -> None:
+    def _give(self, conn) -> None:
+        conn.reused = True
+        origin = conn.origin
         with self._lock:
             idle = self._idle.setdefault(origin, [])
             self._idle.move_to_end(origin)
@@ -769,11 +809,33 @@ class HttpStoreClient:
         return f"{self.base_url}/{key.path}"
 
     def put(self, key: ObjectKey, data: bytes) -> None:
-        status, _ = _POOL.request("PUT", _POOL.split(self._url(key)), data, self.timeout)
-        if status == 409:
-            raise ConflictError(f"object {key.path} already exists")
-        if not 200 <= status < 300:
-            raise OctvError(f"upload failed with status {status}")
+        self.begin_put(key, data)()
+
+    def begin_put(self, key: ObjectKey, data: bytes):
+        """Send a PUT of ``data`` as ``key``; returns the call, made once, that reads its reply.
+
+        The store takes the body while the caller goes on. This never raises:
+        the call it returns raises as ``put`` does, a failed send included.
+        """
+        try:
+            url = _POOL.split(self._url(key))
+            conn = _POOL.send("PUT", url, data, self.timeout)
+        except (OctvError, ValueError) as exc:
+            error = exc
+
+            def fail() -> None:
+                raise error
+
+            return fail
+
+        def finish() -> None:
+            status, _ = _POOL.receive(conn, "PUT", url, data, self.timeout)
+            if status == 409:
+                raise ConflictError(f"object {key.path} already exists")
+            if not 200 <= status < 300:
+                raise OctvError(f"upload failed with status {status}")
+
+        return finish
 
     def get(self, key: ObjectKey) -> bytes:
         return fetch_url(self._url(key), timeout=self.timeout)

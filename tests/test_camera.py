@@ -32,7 +32,7 @@ from octv.protocol import (
     format_video_url,
 )
 from octv.sim import scenario_from_dict
-from octv.store import MemoryObjectStore, ObjectKey
+from octv.store import HttpStoreClient, MemoryObjectStore, ObjectKey, StoreServer
 from octv.transport import SimTransport
 
 
@@ -717,6 +717,121 @@ class TestTiering:
         pipeline.camera.advance_to(4.0)
         at_four = [(e["event"], e.get("stream")) for e in pipeline.events if e.get("t") == 4.0]
         assert at_four == [("rotate", None), ("upload", "main"), ("upload", "tier")]
+
+
+class BeginPutStore(MemoryObjectStore):
+    """A store whose uploads are begun, then finished; ``calls`` records both."""
+
+    def __init__(self, calls: list):
+        super().__init__()
+        self.calls = calls
+
+    def begin_put(self, key, data):
+        self.calls.append(("begin", key.path))
+
+        def finish():
+            self.calls.append(("finish", key.path))
+            self.put(key, data)
+
+        return finish
+
+
+def recording_hashes(monkeypatch, calls: list) -> None:
+    """Record each ``crypto.hash_prefix`` call in ``calls``, with the container's length."""
+    hash_of = camera_module.crypto.hash_prefix
+
+    def recorded(stored_file):
+        calls.append(("hash", len(stored_file)))
+        return hash_of(stored_file)
+
+    monkeypatch.setattr(camera_module.crypto, "hash_prefix", recorded)
+
+
+def camera_over(store, **config_kwargs):
+    """A started camera on a SimClock and SimTransport that uploads to ``store``."""
+    config = make_config(**config_kwargs)
+    clock = SimClock(0.0)
+    events = []
+    camera = CameraRuntime(config, clock, SyntheticFrameSource(config.source_seed, config.source_rate),
+                           SimTransport(clock=clock).join("camera"), store,
+                           event_sink=events.append)
+    camera.start()
+    return camera, clock, events
+
+
+class TestUploadInFlight:
+    """In auto mode each PUT is sent before the chain hashes are taken, and its reply
+    read after them."""
+
+    def test_begin_then_hash_then_finish(self, monkeypatch):
+        calls = []
+        store = BeginPutStore(calls)
+        camera, clock, _ = camera_over(store, tiering=True)
+        main, tier = (ObjectKey(f.packet.video_id, "mp4").path for f in camera._segment.files)
+        recording_hashes(monkeypatch, calls)
+        clock.advance_to(2.0)
+        camera.rotate(2.0)
+        assert calls == [("begin", main), ("begin", tier), ("hash", 2034), ("hash", 284),
+                         ("finish", main), ("finish", tier)]
+        assert store.get(ObjectKey.from_path(main)) and store.get(ObjectKey.from_path(tier))
+
+    def test_manual_mode_hashes_at_seal_time_and_uploads_at_release(self, monkeypatch):
+        calls = []
+        camera, clock, _ = camera_over(BeginPutStore(calls), mode=Mode.MANUAL)
+        recording_hashes(monkeypatch, calls)
+        clock.advance_to(2.0)
+        [record] = camera.rotate(2.0)
+        assert calls == [("hash", 2034)]
+        camera.release_segment(record.video_id)
+        path = ObjectKey(record.video_id, "mp4").path
+        assert calls[1:] == [("begin", path), ("finish", path)]
+        assert record.state == "uploaded"
+
+    @pytest.mark.parametrize("tiering", [False, True], ids=["main", "tiered"])
+    def test_stored_objects_chain_over_http(self, tiering):
+        backing = MemoryObjectStore()
+        server = StoreServer(backing)
+        server.start()
+        try:
+            camera, clock, _ = camera_over(HttpStoreClient(server.base_url()), tiering=tiering)
+            for boundary in (2.0, 4.0, 6.0):
+                clock.advance_to(boundary)
+                records = camera.rotate(boundary)
+                following = [f.packet for f in camera._segment.files]
+                assert len(records) == len(following) == (2 if tiering else 1)
+                for record, packet in zip(records, following):
+                    assert record.state == "uploaded"
+                    stored = backing.get(ObjectKey(record.video_id, "mp4"))
+                    assert hash_prefix(stored) == packet.prev_hash_prefix
+        finally:
+            server.stop()
+
+    def test_failed_upload_still_chains_and_is_retried(self):
+        backing = MemoryObjectStore()
+        server = StoreServer(backing)
+        server.start()
+        port = server.port
+        camera, clock, events = camera_over(HttpStoreClient(server.base_url(), timeout=2.0))
+        clock.advance_to(2.0)
+        [first] = camera.rotate(2.0)
+        assert first.state == "uploaded"
+        server.stop()
+        clock.advance_to(4.0)
+        [record] = camera.rotate(4.0)
+        assert record.state == "pending" and record.container
+        assert hash_prefix(record.container) == camera._segment.files[0].packet.prev_hash_prefix
+        [retry] = [e for e in events if e["event"] == "upload-retry"]
+        assert retry["video_id"] == record.video_id.hex() and retry["attempt"] == 1
+        assert camera._pending == [(5.0, record, 1)]
+        container = record.container
+        server = StoreServer(backing, port=port)
+        server.start()
+        try:
+            camera.advance_to(5.0)
+        finally:
+            server.stop()
+        assert record.state == "uploaded" and record.container == b""
+        assert backing.get(ObjectKey(record.video_id, "mp4")) == container
 
 
 class TestChunkedCamera:

@@ -1,4 +1,5 @@
 import email.utils
+import gc
 import hashlib
 import http.client
 import io
@@ -14,6 +15,7 @@ import sys
 import threading
 import time
 import urllib.request
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -637,6 +639,91 @@ class TestTimeouts:
             store_module._hold_timeout(sock, 0.3)
             assert sock.gettimeout() == 0.3
             assert kernel_timeout(sock, socket.SO_RCVTIMEO) == 0
+
+
+@pytest.fixture
+def no_unclosed_sockets():
+    """Fails the test if a socket or file it leaves behind is collected unclosed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def count_connects(pool, monkeypatch) -> list:
+    """The origins of the connections ``pool`` opens from now on, one entry each."""
+    connects, connect = [], pool._connect
+    monkeypatch.setattr(pool, "_connect", lambda *a: connects.append(a[0]) or connect(*a))
+    return connects
+
+
+@pytest.mark.usefixtures("no_unclosed_sockets")
+class TestBeginPut:
+    """``begin_put`` sends the request and never raises; the call it returns reads the
+    reply, and raises as ``put`` does."""
+
+    def test_finished_after_the_callers_work_stores_once(self, server, pool):
+        server, store = server
+        data = secrets.token_bytes(512 * 1024)
+        finish = HttpStoreClient(server.base_url()).begin_put(make_key(1), data)
+        digest = hashlib.sha256(data).digest()  # the caller's own work, as the upload goes on
+        assert finish() is None
+        assert hashlib.sha256(store.get(make_key(1))).digest() == digest
+        assert server.request_log == [f"PUT /{make_key(1).path} 201 {len(data)}"]
+        assert [len(idle) for idle in pool._idle.values()] == [1]
+
+    def test_conflict_comes_from_the_finisher(self, server, pool):
+        server, store = server
+        store.put(make_key(1), b"first")
+        finish = HttpStoreClient(server.base_url()).begin_put(make_key(1), b"second")
+        with pytest.raises(ConflictError):
+            finish()
+        assert store.get(make_key(1)) == b"first"
+
+    def test_refused_connection_comes_from_the_finisher(self, pool):
+        client = HttpStoreClient(f"http://127.0.0.1:{closed_port()}", timeout=2.0)
+        finish = client.begin_put(make_key(1), b"data")
+        with pytest.raises(OctvError) as excinfo:
+            finish()
+        assert type(excinfo.value) is OctvError
+        assert "ConnectionRefusedError" in str(excinfo.value)
+        assert not any(pool._idle.values())
+
+    def test_send_timed_out_comes_from_the_finisher(self, pool):
+        """An upload larger than both ends' socket buffers, to a store that reads nothing."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5)
+            client = HttpStoreClient(f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=0.3)
+            begun = Bounded(lambda: client.begin_put(make_key(1), bytes(UNREAD_BYTES)))
+            conn, _ = listener.accept()
+            with conn:
+                finish, took = begun.outcome()
+        assert callable(finish), finish
+        assert 0.3 <= took < 1.5
+        with pytest.raises(OctvError) as excinfo:
+            finish()
+        assert type(excinfo.value) is OctvError and "TimeoutError" in str(excinfo.value)
+        assert not any(pool._idle.values())
+
+    def test_connection_closed_while_idle_is_replaced_and_the_body_resent(
+            self, server, pool, monkeypatch):
+        monkeypatch.setattr(store_module._StoreHandler, "timeout", 0.2)
+        server, store = server
+        client = HttpStoreClient(server.base_url())
+        connects = count_connects(pool, monkeypatch)
+        client.put(make_key(1), b"first")
+        deadline = time.monotonic() + 5
+        while server._connections and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not server._connections  # the store closed the idle connection
+        data = secrets.token_bytes(512 * 1024)
+        finish = client.begin_put(make_key(2), data)
+        finish()
+        assert len(connects) == 2
+        assert store.get(make_key(2)) == data
+        assert [line for line in server.request_log if line.startswith("PUT")] == [
+            f"PUT /{make_key(1).path} 201 5", f"PUT /{make_key(2).path} 201 {len(data)}"]
 
 
 class TestPoolOrigins:
